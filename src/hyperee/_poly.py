@@ -8,7 +8,6 @@ roots are simple and convergence is fast and accurate.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -34,15 +33,6 @@ def degree(p: list) -> int:
 
 def derivative(p: FPoly) -> FPoly:
     return [c * i for i, c in enumerate(p)][1:]
-
-
-def mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def divmod_exact(a: FPoly, b: FPoly) -> tuple[FPoly, FPoly]:

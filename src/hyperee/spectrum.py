@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._poly import (
+    ConvergenceError,
     FPoly,
     _log2_abs,
     aberth_roots,
@@ -261,7 +262,8 @@ def spectrum(
 
     Hyperstars (and edgeless hypergraphs) are answered in closed form.
     Everything else goes through exact traces + Newton's identities, which
-    is only feasible while k = n*(m-1)^(n-1) stays small; past the budget a
+    is only feasible while k = n*(m-1)^(n-1) stays small; past the budget,
+    or when the roots do not converge in double precision, a
     FeasibilityError points at the trace-series route instead.
     """
     budget = budget or Budget()
@@ -278,7 +280,10 @@ def spectrum(
         )
     ts = trace_sequence(h, k, budget=budget, threads=threads)
     cp = charpoly_from_traces(ts)
-    entries, residual = roots(cp)
+    try:
+        entries, residual = roots(cp)
+    except ConvergenceError as exc:
+        raise FeasibilityError(f"{exc}; use the trace-series method") from exc
     return Spectrum(
         k=k, entries=entries, provenance="newton-aberth", residual=residual
     )

@@ -9,7 +9,13 @@ using every arc exactly once.  Walk counts come from the arborescence form of
 the Eulerian-circuit count (matrix-tree determinant, exact integers); the
 per-vertex pick multisets are enumerated directly in their balanced form,
 which prunes the search to configurations with equal in- and out-degree at
-every vertex.
+every vertex.  The splits of the picks are summed in integers against a
+Laplacian kept up to date pick by pick, and the per-vertex shares are summed
+in integers over one common denominator.
+
+Graphs (m = 2) take their traces tr(A^d) from exact integer matrix powers
+instead; the per-vertex decomposition stays on the Eulerian engine for every
+m, so the two routes check each other on graphs.
 
 Everything here is exact: Python integers and fractions.Fraction throughout.
 """
@@ -22,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import multiprocessing
+
+import numpy as np
 
 from .hypergraph import UniformHypergraph
 
@@ -58,8 +66,16 @@ def trace_d(
     """Exact d-th order trace of the adjacency tensor.
 
     Order 0 is the eigenvalue count n(m-1)^(n-1) by convention.  Orders
-    1..m-1 vanish; order m equals m^(m-1) (m-1)^(n-m) |E|.
+    1..m-1 vanish; order m equals m^(m-1) (m-1)^(n-m) |E|.  For graphs
+    (m = 2) this is tr(A^d), from exact integer matrix powers that spend
+    no selection budget.
     """
+    if h.m == 2 and d >= 0:
+        # object dtype keeps Python integers: entries of A^d outgrow int64
+        adj = np.zeros((h.n, h.n), dtype=object)
+        for u, v in h.edges:
+            adj[u - 1, v - 1] = adj[v - 1, u - 1] = 1
+        return Fraction(int(np.trace(np.linalg.matrix_power(adj, d))))
     return sum(vertex_trace_terms(h, d, budget, threads), Fraction(0))
 
 
@@ -69,9 +85,19 @@ def trace_sequence(
     budget: Budget | None = None,
     threads: int = 1,
 ) -> TraceSequence:
-    """Traces of all orders 0..max_d (the spectral power sums, by order)."""
+    """Traces of all orders 0..max_d (the spectral power sums, by order).
+
+    For m >= 3 the selection budget of every order is checked before any
+    order is computed, so a request that some order cannot meet is refused
+    in milliseconds rather than after the cheaper orders.
+    """
     if max_d < 0:
         raise ValueError("max_d must be >= 0")
+    budget = budget or Budget()
+    if h.m > 2 and h.edges:
+        ctx = _EnumerationContext(h)
+        for d in range(1, max_d + 1):
+            _sigma_candidates(ctx, d, budget)
     values = tuple(trace_d(h, d, budget, threads) for d in range(max_d + 1))
     return TraceSequence(h.m, h.n, values)
 
@@ -177,7 +203,13 @@ def _sigma_candidates(ctx: _EnumerationContext, d: int, budget: Budget) -> list[
 
     def rec(i: int, remaining: int) -> None:
         nonlocal predicted
-        choices = [remaining] if i == n_edges - 1 else range(remaining + 1)
+        if i == n_edges - 1:
+            choices = [remaining]
+        elif finalize_at[i]:
+            # a vertex whose total is final here fixes s modulo m
+            choices = range(-vertex_total[finalize_at[i][0]] % m, remaining + 1, m)
+        else:
+            choices = range(remaining + 1)
         for s in choices:
             sigma[i] = s
             for v in edges[i]:
@@ -255,11 +287,17 @@ def _accumulate(
         Eulerian cycle classes of the     (arborescence determinant times
         arc multiset                       prod_v (outdeg(v)-1)!)
 
-    The caller multiplies the final vector by (m-1)^n: the global
-    (m-1)^(n-1) together with one m-1 per start-vertex arc share.
+    Out-degrees (m-1) s_v depend on sigma alone, so with T the integer
+    table sum of _sum_over_tables the configuration contributes
+
+        T * prod_v s_v! / (prod_v (m-1) s_v * prod_e sigma_e!)
+
+    per pick of each active vertex; these are summed over the least common
+    denominator.  The caller multiplies the final vector by (m-1)^n: the
+    global (m-1)^(n-1) together with one m-1 per start-vertex arc share.
     """
     m, n, edges = ctx.m, ctx.n, ctx.edges
-    acc = [Fraction(0)] * n
+    parts: list[tuple[int, int, list[int]]] = []  # (numerator, denominator, s)
     for sigma in candidates:
         s = [0] * n
         for e_idx, se in enumerate(sigma):
@@ -271,15 +309,21 @@ def _accumulate(
         table_sum = _sum_over_tables(ctx, sigma, s, cross_check)
         if table_sum == 0:
             continue
-        factor = Fraction(1)
+        den = 1
+        for se in sigma:
+            den *= math.factorial(se)
+        for sv in s:
+            if sv:
+                table_sum *= math.factorial(sv)
+                den *= (m - 1) * sv
+        parts.append((table_sum, den, s))
+    common = math.lcm(*(den for _, den, _ in parts))
+    acc = [0] * n
+    for num, den, s in parts:
+        num *= common // den
         for v in range(n):
-            if s[v]:
-                factor *= Fraction(math.factorial(s[v]), math.factorial((m - 1) * s[v]))
-        total = factor * table_sum
-        for v in range(n):
-            if s[v]:
-                acc[v] += total * s[v]
-    return acc
+            acc[v] += num * s[v]
+    return [Fraction(a, common) for a in acc]
 
 
 def _sum_over_tables(
@@ -287,108 +331,104 @@ def _sum_over_tables(
     sigma: tuple[int, ...],
     s: list[int],
     cross_check: bool,
-) -> Fraction:
-    """Sum of cycle_count / prod(x!) over all splits x consistent with sigma, s."""
-    m, edges = ctx.m, ctx.edges
-    active = [i for i, se in enumerate(sigma) if se > 0]
-    # how much each vertex can still pick from edges later in the order
-    cap_after: list[dict[int, int]] = []
-    running: dict[int, int] = {}
-    for i in reversed(active):
-        cap_after.insert(0, dict(running))
-        for v in edges[i]:
-            running[v] = running.get(v, 0) + sigma[i]
-    remaining = list(s)
-    picks: dict[tuple[int, int], int] = {}
-    total = Fraction(0)
+) -> int:
+    """Sum of trees(x) * prod_e sigma_e! / prod x! over all splits x
+    consistent with sigma and s, in integers.
 
-    def edge_rec(pos: int) -> None:
+    trees(x) counts the arborescences of the split's arc multiset towards
+    the smallest active vertex: the determinant of its Laplacian with that
+    vertex's row and column removed.  The out-degrees (m-1) s_v fix the
+    Laplacian's diagonal, so it is set once here, and each pick x[v,e] only
+    moves the off-diagonal entries of row v; the recursion applies a pick on
+    the way down and takes it back on backtrack.
+    """
+    m, edges = ctx.m, ctx.edges
+    support = [v for v in range(ctx.n) if s[v]]
+    index = {v: i for i, v in enumerate(support)}
+    lap = [[0] * len(support) for _ in support]
+    for i, v in enumerate(support):
+        lap[i][i] = (m - 1) * s[v]
+    active = [i for i, se in enumerate(sigma) if se > 0]
+    # per active edge, one split step per vertex: the vertex, how much it
+    # can still pick from the edges after this one, its Laplacian row and
+    # the columns of the edge's other vertices
+    steps: list[list[tuple[int, int, list[int], list[int]]]] = []
+    running = [0] * ctx.n
+    for e_idx in reversed(active):
+        e = edges[e_idx]
+        steps.append([
+            (v, running[v], lap[index[v]], [index[u] for u in e if u != v])
+            for v in e
+        ])
+        for v in e:
+            running[v] += sigma[e_idx]
+    steps.reverse()
+    last = m - 1
+    remaining = list(s)
+    total = 0
+
+    def edge_rec(pos: int, weight: int) -> None:
         nonlocal total
         if pos == len(active):
-            total += _table_value(ctx, sigma, s, picks, cross_check)
+            trees = _det_bareiss([row[1:] for row in lap[1:]])
+            if cross_check:
+                _verify_leaf(support, lap, trees)
+            total += weight * trees
             return
         e_idx = active[pos]
-        verts = edges[e_idx]
-        caps = cap_after[pos]
+        owed = sum(remaining[v] for v in edges[e_idx])
+        split_rec(steps[pos], pos, 0, sigma[e_idx], owed, weight)
 
-        def split_rec(vi: int, left: int) -> None:
-            if vi == len(verts) - 1:
-                v = verts[vi]
-                if left <= remaining[v]:
-                    remaining[v] -= left
-                    if all(remaining[u] <= caps.get(u, 0) for u in verts):
-                        if left:
-                            picks[(v, e_idx)] = left
-                        edge_rec(pos + 1)
-                        picks.pop((v, e_idx), None)
-                    remaining[v] += left
-                return
-            v = verts[vi]
-            for x in range(min(left, remaining[v]) + 1):
-                remaining[v] -= x
-                if x:
-                    picks[(v, e_idx)] = x
-                split_rec(vi + 1, left - x)
-                picks.pop((v, e_idx), None)
-                remaining[v] += x
+    def split_rec(step, pos, vi, left, owed, weight) -> None:
+        # left: picks of this edge still to hand out among vertices vi..;
+        # owed: what those vertices must still pick in total.  A vertex
+        # takes at least what the later edges cannot supply it, and leaves
+        # no more than the edge's later vertices can take.
+        v, cap, row, cols = step[vi]
+        need = remaining[v]
+        owed -= need
+        lo = max(0, need - cap, left - owed)
+        hi = min(left, need)
+        for x in range(lo, hi + 1):
+            remaining[v] = need - x
+            for c in cols:
+                row[c] -= x
+            if vi == last:  # x == left here
+                edge_rec(pos + 1, weight)
+            else:
+                split_rec(step, pos, vi + 1, left - x, owed,
+                          weight * math.comb(left, x))
+            for c in cols:
+                row[c] += x
+        remaining[v] = need
 
-        split_rec(0, sigma[e_idx])
-
-    edge_rec(0)
+    edge_rec(0, 1)
     return total
 
 
-def _table_value(
-    ctx: _EnumerationContext,
-    sigma: tuple[int, ...],
-    s: list[int],
-    picks: dict[tuple[int, int], int],
-    cross_check: bool,
-) -> Fraction:
-    arcs: dict[tuple[int, int], int] = {}
-    fact_den = 1
-    for (v, e_idx), x in picks.items():
-        fact_den *= math.factorial(x)
-        for u in ctx.edges[e_idx]:
-            if u != v:
-                arcs[(v, u)] = arcs.get((v, u), 0) + x
-    sig: ArcMultiset = tuple(sorted((u, v, c) for (u, v), c in arcs.items()))
-    cycles = _cycle_classes(sig)
-    if cross_check and sum(c for _, _, c in sig) <= 16:
-        _verify_by_walks(sig, cycles)
-    return Fraction(cycles, fact_den)
+def _verify_leaf(support: list[int], lap: list[list[int]], trees: int) -> None:
+    """Rebuild a split's arc multiset from its Laplacian and check the
+    determinant route against direct walk enumeration (up to 16 arcs)."""
+    sig: ArcMultiset = tuple(
+        (support[i], support[j], -c)
+        for i, row in enumerate(lap)
+        for j, c in enumerate(row)
+        if i != j and c
+    )
+    if sum(c for _, _, c in sig) > 16:
+        return
+    cycles = trees
+    for i in range(len(support)):
+        cycles *= math.factorial(lap[i][i] - 1)
+    _verify_by_walks(sig, cycles)
 
 
-@lru_cache(maxsize=1 << 18)
-def _cycle_classes(sig: ArcMultiset) -> int:
-    """Eulerian cycle classes of a balanced arc multiset, parallel arcs
-    distinguishable: arborescence count times prod (outdeg(v)-1)!."""
-    outdeg: dict[int, int] = {}
-    for u, v, c in sig:
-        outdeg[u] = outdeg.get(u, 0) + c
-    support = sorted(outdeg)
-    root = support[0]
-    index = {v: i for i, v in enumerate(support[1:])}
-    size = len(index)
-    lap = [[0] * size for _ in range(size)]
-    for v, i in index.items():
-        lap[i][i] = outdeg[v]
-    for u, v, c in sig:
-        if u != root and v != root:
-            lap[index[u]][index[v]] -= c
-    trees = _det_bareiss(lap)
-    count = trees
-    for v in support:
-        count *= math.factorial(outdeg[v] - 1)
-    return count
-
-
-def _det_bareiss(mat: list[list[int]]) -> int:
-    """Exact integer determinant, fraction-free Gaussian elimination."""
-    size = len(mat)
+def _det_bareiss(a: list[list[int]]) -> int:
+    """Exact integer determinant, fraction-free Gaussian elimination; the
+    rows of a are overwritten."""
+    size = len(a)
     if size == 0:
         return 1
-    a = [row[:] for row in mat]
     sign = 1
     prev = 1
     for k in range(size - 1):

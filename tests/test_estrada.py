@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
 from _oracles import matrix_estrada
 from conftest import CORPUS
+from hyperee import traces
+from hyperee._poly import ConvergenceError
 from hyperee.estrada import (
     bounds_basic,
     bounds_refined,
@@ -221,6 +224,38 @@ def test_auto_falls_back_when_spectrum_budget_trips():
     res = estrada_index(h, budget=Budget(max_degree=128, max_selections=100))
     assert res.method == "trace-series"
     assert not res.converged
+
+
+def test_root_failure_is_a_refusal_and_auto_falls_back(monkeypatch):
+    def stuck(*args, **kwargs):
+        raise ConvergenceError("root iteration did not converge")
+
+    # the package exports a function named spectrum over the submodule
+    monkeypatch.setattr(sys.modules["hyperee.spectrum"], "aberth_roots", stuck)
+    h = CORPUS["tight-pair-3"]
+    with pytest.raises(FeasibilityError, match="did not converge"):
+        spectrum(h)
+    res = estrada_index(h)
+    assert res.method == "trace-series"
+    assert res.converged
+
+
+def test_spectrum_refuses_before_any_table_work(monkeypatch):
+    """k = 80 fits the degree budget, order 63 does not fit the selection
+    budget, and order 80 has no candidates at all: the refusal must come
+    from checking every order before any order is computed."""
+    h = from_edge_list(3, 5, [(1, 2, 3), (1, 3, 4), (1, 3, 5)])
+
+    def no_tables(*args):
+        raise AssertionError("table work started before the budget check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(traces, "_sum_over_tables", no_tables)
+        with pytest.raises(FeasibilityError, match="d=63"):
+            spectrum(h)
+    res = estrada_index(h)
+    assert res.method == "trace-series"
+    assert res.converged
 
 
 def test_explicit_star_method_rejects_non_star():

@@ -85,6 +85,34 @@ def test_tight_overlap_pair():
         assert trace_d(h, d) == want
 
 
+# Exact values computed by the arc-multiset engine with per-table Fractions
+# and a cached determinant per arc multiset, pinned so that any change to
+# the table sums must reproduce them exactly.
+
+PINNED_SEQUENCES = {
+    "rand-3-b": [192, 0, 0, 288, 0, 0, 1800, 0, 0, 15840, 0, 0, 156672],
+    "rand-4-a": [405, 0, 0, 0, 384, 0, 0, 0, 4224, 0, 0, 0, 32640],
+    "tight-pair-3": [32, 0, 0, 36, 0, 0, 144, 0, 0, 576, 0, 0, 2304],
+}
+
+PINNED_HIGH_ORDERS = [
+    (CORPUS["rand-3-b"], 21, Fraction(189809712)),
+    (CORPUS["rand-4-a"], 24, Fraction(16777344)),
+    (from_edge_list(3, 5, [(1, 2, 3), (1, 3, 4), (1, 3, 5)]), 30, Fraction(31381059636)),
+]
+
+
+def test_trace_sequence_pinned_values():
+    for name, want in PINNED_SEQUENCES.items():
+        ts = trace_sequence(CORPUS[name], 12)
+        assert ts.values == tuple(Fraction(v) for v in want), name
+
+
+def test_high_order_pinned_values():
+    for h, d, want in PINNED_HIGH_ORDERS:
+        assert trace_d(h, d) == want, (h.edges, d)
+
+
 # Per-vertex decomposition
 
 
