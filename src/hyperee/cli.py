@@ -103,7 +103,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="max eigenvalue count for full-spectrum work")
     p.add_argument("--budget-selections", type=int,
                    default=Budget().max_selections,
-                   help="max predicted enumeration size per trace order")
+                   help="max predicted enumeration size per trace order "
+                        "(graphs: n^3 per bit of the order)")
     p.add_argument("--format", choices=("human", "json", "csv"),
                    default="human", help="output format")
     p.add_argument("--threads", type=int, default=_default_threads(),

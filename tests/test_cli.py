@@ -121,6 +121,15 @@ def test_traces_infeasible_budget(capsys):
     assert "infeasible" in err
 
 
+def test_graph_traces_infeasible_budget(capsys):
+    code, _, err = run_cli(
+        capsys, "traces", "--path", "2", "4", "--max-d", "8",
+        "--budget-selections", "100",
+    )
+    assert code == EXIT_INFEASIBLE
+    assert "infeasible" in err
+
+
 def test_traces_threads_do_not_change_output(capsys):
     base = run_cli(capsys, "traces", "--star", "3", "3", "--max-d", "15",
                    "--threads", "1")

@@ -143,6 +143,15 @@ def test_series_partial_when_budget_starves_selection():
     assert res.error_bound > 1e-6  # the honest unreached tail
 
 
+def test_series_partial_when_budget_starves_graph_powers():
+    """Orders 0..3 of a 7-vertex graph fit 7^3 * 2 units; order 4 needs 7^3 * 3."""
+    h = CORPUS["rand-2-b"]
+    res = ee_trace_series(h, 1e-6, budget=Budget(max_selections=h.n**3 * 2))
+    assert not res.converged
+    assert res.terms_used == 4
+    assert res.error_bound > 1e-6
+
+
 def test_series_partial_when_order_cap_hits():
     res = ee_trace_series(CORPUS["path-3-3"], 1e-12, budget=Budget(max_degree=4))
     assert not res.converged

@@ -35,6 +35,13 @@ def test_graph_routes_agree(h, d):
 
 
 @PROPERTY_SETTINGS
+@given(hypergraphs(2, 16, 60), st.integers(0, 90))
+def test_graph_traces_match_matrix_powers(h, d):
+    """Orders high enough to need several moduli stay exact."""
+    assert trace_d(h, d) == matrix_power_sums(h, d)[d]
+
+
+@PROPERTY_SETTINGS
 @given(
     st.sampled_from([3, 4]).flatmap(lambda m: hypergraphs(m, 6, 3)),
     st.integers(1, 9),

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from _oracles import matrix_power_sums, star_trace
 from conftest import CORPUS
+from hyperee import traces
 from hyperee.hypergraph import from_edge_list, gen_empty, gen_hyperpath, gen_hyperstar
 from hyperee.traces import (
     Budget,
@@ -66,6 +68,9 @@ def test_graph_traces_match_matrix_power_sums():
         want = matrix_power_sums(h, 8)
         ts = trace_sequence(h, 8)
         assert list(ts.values) == want, name
+    # K_12's traces pass 2^53 at order 16 and have 416 bits at order 120
+    k12 = from_edge_list(2, 12, itertools.combinations(range(1, 13), 2))
+    assert list(trace_sequence(k12, 120).values) == matrix_power_sums(k12, 120)
 
 
 def test_hyperstar_traces_match_spectrum_power_sums():
@@ -174,6 +179,26 @@ def test_budget_allows_cheap_orders():
     """A tight budget still admits orders with few configurations."""
     h = gen_hyperpath(3, 1)
     assert trace_d(h, 3, budget=Budget(max_selections=50)) == 9
+
+
+def test_graph_traces_charged_to_selection_budget():
+    """Graph traces cost n^3 per bit of the order against the budget."""
+    h = CORPUS["rand-2-b"]
+    tight = Budget(max_selections=h.n**3 * 3)
+    assert trace_d(h, 7, budget=tight) == matrix_power_sums(h, 7)[7]
+    with pytest.raises(FeasibilityError, match="infeasible"):
+        trace_d(h, 8, budget=tight)
+
+
+def test_graph_trace_sequence_refuses_before_any_order(monkeypatch):
+    h = CORPUS["rand-2-b"]
+
+    def no_powers(*args):
+        raise AssertionError("matrix powers started before the budget check")
+
+    monkeypatch.setattr(traces, "_graph_trace", no_powers)
+    with pytest.raises(FeasibilityError, match="d=8"):
+        trace_sequence(h, 8, budget=Budget(max_selections=h.n**3 * 3))
 
 
 def test_rejects_negative_order():
