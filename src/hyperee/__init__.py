@@ -53,7 +53,6 @@ from .traces import (
     TraceSequence,
     trace_d,
     trace_sequence,
-    vertex_trace_term,
     vertex_trace_terms,
 )
 
@@ -99,6 +98,5 @@ __all__ = [
     "symmetric_representatives",
     "trace_d",
     "trace_sequence",
-    "vertex_trace_term",
     "vertex_trace_terms",
 ]

@@ -17,6 +17,13 @@ FPoly = list[Fraction]
 IPoly = list[int]
 
 
+# Aberth iteration: converged at relative step ABERTH_TOL; a stalled
+# iteration is accepted when its best step stayed below ABERTH_STALL_TOL.
+ABERTH_TOL = 1e-13
+ABERTH_STALL_TOL = 1e-8
+ABERTH_MAX_ITER = 600
+
+
 class ConvergenceError(RuntimeError):
     """Numeric root iteration failed to reach its tolerance."""
 
@@ -171,18 +178,14 @@ def _log2_abs(x: Fraction) -> float:
     return (math.log2(num >> ns) + ns) - (math.log2(den >> ds) + ds)
 
 
-def aberth_roots(
-    monic_ascending: list[float],
-    tol: float = 1e-13,
-    max_iter: int = 600,
-    stall_tol: float = 1e-8,
-) -> np.ndarray:
+def aberth_roots(monic_ascending: list[float]) -> np.ndarray:
     """All roots of a monic real polynomial by Aberth-Ehrlich iteration.
 
-    Meant for square-free inputs (simple roots).  Stops at `tol` relative
-    step size; if the iteration stalls at the double-precision floor of an
-    ill-conditioned input, the best iterate is accepted as long as its
-    step stayed below `stall_tol`.  Raises ConvergenceError otherwise.
+    Meant for square-free inputs (simple roots).  Stops at ABERTH_TOL
+    relative step size; if the iteration stalls at the double-precision
+    floor of an ill-conditioned input, the best iterate is accepted as long
+    as its step stayed below ABERTH_STALL_TOL.  Raises ConvergenceError
+    otherwise.
     """
     deg = len(monic_ascending) - 1
     if deg <= 0:
@@ -202,7 +205,7 @@ def aberth_roots(
     best_rel = math.inf
     best_z = z
     stalled = 0
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         pv = np.polyval(coeffs_desc, z)
         dv = np.polyval(dcoeffs_desc, z)
         dv = np.where(dv == 0, 1e-300, dv)
@@ -215,7 +218,7 @@ def aberth_roots(
         step = w / denom
         z = z - step
         rel = float(np.max(np.abs(step))) / (1.0 + float(np.max(np.abs(z))))
-        if rel <= tol:
+        if rel <= ABERTH_TOL:
             return z
         if rel < 0.5 * best_rel:
             best_rel, best_z, stalled = rel, z.copy(), 0
@@ -223,7 +226,7 @@ def aberth_roots(
             stalled += 1
             if stalled >= 80:
                 break
-    if best_rel <= stall_tol:
+    if best_rel <= ABERTH_STALL_TOL:
         return best_z
     residual = float(np.max(np.abs(np.polyval(coeffs_desc, best_z))))
     raise ConvergenceError(

@@ -33,7 +33,6 @@ from .hypergraph import (
     serialize_hypergraph,
 )
 from .spectrum import spectrum
-from .tensor import spectral_radius
 from .traces import Budget, FeasibilityError, trace_sequence
 
 EXIT_OK = 0
@@ -173,10 +172,7 @@ def cmd_ee(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             h, args.method, tol=args.tol, budget=_budget(args),
             threads=args.threads,
         )
-    except FeasibilityError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except ValueError as exc:  # the method does not apply to this input
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     payload = _ee_payload(res)
@@ -203,13 +199,7 @@ def cmd_traces(
     if args.max_d < 0:
         print("error: --max-d must be nonnegative", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        ts = trace_sequence(
-            h, args.max_d, budget=_budget(args), threads=args.threads
-        )
-    except FeasibilityError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    ts = trace_sequence(h, args.max_d, budget=_budget(args), threads=args.threads)
     if args.format == "json":
         payload = {
             "m": ts.m,
@@ -235,11 +225,7 @@ def cmd_spectrum(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
     h = _resolve_input(args, parser)
-    try:
-        s = spectrum(h, budget=_budget(args), threads=args.threads)
-    except FeasibilityError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    s = spectrum(h, budget=_budget(args), threads=args.threads)
     if args.format == "json":
         payload = {
             "k": s.k,
@@ -287,14 +273,14 @@ def cmd_bounds(
 ) -> int:
     h = _resolve_input(args, parser)
     budget = _budget(args)
-    rho = spectral_radius(h)
     s = None
     if not h.edges or h.eigenvalue_count() <= budget.max_degree:
         try:
             s = spectrum(h, budget=budget, threads=args.threads)
         except FeasibilityError:
             s = None
-    rep = bounds_refined(s, h, rho, budget=budget, threads=args.threads)
+    rep = bounds_refined(s, h, budget=budget, threads=args.threads)
+    rho = rep.rho_used
     payload = _bounds_payload(rep)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -457,7 +443,11 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except FeasibilityError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

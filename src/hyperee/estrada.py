@@ -12,7 +12,8 @@ eigenvalues.  Each method carries its own error story:
 * symmetric-formula: for spectra invariant under rotation by
   e^(2*pi*i/m), the exponential sum over each rotation orbit collapses
   to a real trigonometric expression in one representative.
-* hyperstar-closed-form: explicit formula in m and q.
+* hyperstar-closed-form: the rotation-orbit formula applied to the
+  hyperstar's known orbits, the m-th roots of r = 1..q.
 
 The module also evaluates spectral bounds on EE: an exact lower bound
 from the order-m trace, and a family of upper bounds driven by the
@@ -61,6 +62,19 @@ class EstradaResult:
     terms_used: int | None = None
     imag_discard: float = 0.0
     converged: bool = True
+
+
+def _checked_count(k: int) -> int:
+    """The eigenvalue count k, refused when it does not fit in a float:
+    every EE route and bound mixes k with floats."""
+    try:
+        float(k)
+    except OverflowError:
+        raise FeasibilityError(
+            f"eigenvalue count n(m-1)^(n-1) has {k.bit_length()} bits, "
+            f"beyond float range"
+        ) from None
+    return k
 
 
 def _safe_exp(x: float) -> float:
@@ -112,9 +126,9 @@ def ee_trace_series(
     if target_tol <= 0:
         raise ValueError("target_tol must be positive")
     budget = budget or Budget()
+    k = _checked_count(h.eigenvalue_count())
     if rho_hat is None:
         rho_hat = spectral_radius(h).upper
-    k = h.eigenvalue_count()
     exp_rho = _safe_exp(rho_hat)
     acc = Fraction(0)
     factorial_d = 1  # d!
@@ -156,46 +170,18 @@ def _orbit_sum(alpha: float, beta: float, m: int) -> float:
     return total
 
 
-def _orbit_sum_m3(alpha: float, beta: float) -> float:
-    root3 = math.sqrt(3.0)
-    return (
-        2.0
-        * math.exp(-alpha / 2.0)
-        * (
-            math.cos(beta / 2.0)
-            * math.cos(root3 * alpha / 2.0)
-            * math.cosh(root3 * beta / 2.0)
-            - math.sin(beta / 2.0)
-            * math.sin(root3 * alpha / 2.0)
-            * math.sinh(root3 * beta / 2.0)
-        )
-        + math.exp(alpha) * math.cos(beta)
-    )
-
-
-def _orbit_sum_m4(alpha: float, beta: float) -> float:
-    return 2.0 * (
-        math.cos(beta) * math.cosh(alpha)
-        + math.cos(alpha) * math.cosh(beta)
-    )
-
-
 def ee_symmetric(
     nonzero_reps: list[Rep],
     n0: int,
     m: int,
     k: int | None = None,
-    *,
-    use_fast_paths: bool = True,
 ) -> EstradaResult:
     """EE of an m-fold rotation-symmetric spectrum from orbit data.
 
     nonzero_reps lists one (alpha, beta, multiplicity) per rotation
     orbit; the value returned covers all m members of each orbit plus n0
     zeros.  With k supplied, n0 + m * (total multiplicity) == k is
-    enforced.  m = 3 and m = 4 take hardcoded trigonometric fast paths
-    (switch off with use_fast_paths to evaluate the general rotation sum
-    instead; both agree to near machine precision).
+    enforced.
     """
     if m < 2:
         raise ValueError("uniformity must be at least 2")
@@ -207,67 +193,25 @@ def ee_symmetric(
             raise ValueError(
                 f"representatives cover {covered} eigenvalues, expected {k}"
             )
-    if use_fast_paths and m == 3:
-        orbit = _orbit_sum_m3
-    elif use_fast_paths and m == 4:
-        orbit = _orbit_sum_m4
-    else:
-        def orbit(alpha: float, beta: float) -> float:
-            return _orbit_sum(alpha, beta, m)
     value = float(n0)
     for alpha, beta, mult in nonzero_reps:
-        value += mult * orbit(alpha, beta)
+        value += mult * _orbit_sum(alpha, beta, m)
     return EstradaResult(value=value, method="symmetric-formula", error_bound=0.0)
 
 
-def _ee_hyperstar_m3(q: int) -> float:
-    total = float(2 ** (2 * q + 1) * q)
-    root3 = math.sqrt(3.0)
-    for r in range(q + 1):
-        c_r = math.comb(q, r) * 3**r
-        x = r ** (1.0 / 3.0)
-        total += c_r * (
-            2.0 * math.exp(-x / 2.0) * math.cos(root3 * x / 2.0)
-            + math.exp(x)
-            - 2.0
-        )
-    return total
-
-
-def _ee_hyperstar_m4(q: int) -> float:
-    total = float(3 ** (3 * q + 1) * q)
-    for r in range(q + 1):
-        c_r = math.comb(q, r) * 16**r * 11 ** (q - r)
-        x = r**0.25
-        total += c_r * (
-            2.0 * math.cos(x) + math.exp(-x) + math.exp(x) - 3.0
-        )
-    return total
-
-
-def ee_hyperstar(
-    m: int, q: int, *, use_fast_paths: bool = True
-) -> EstradaResult:
+def ee_hyperstar(m: int, q: int) -> EstradaResult:
     """EE of the m-uniform hyperstar with q edges, in closed form.
 
     The nonzero eigenvalues are the m-th roots of r = 1..q with known
-    multiplicities, so EE reduces to a finite double sum.  m = 3 and
-    m = 4 use dedicated one-line-per-term formulas (use_fast_paths=False
-    forces the general form; they agree to near machine precision).
+    multiplicities c_r, so EE is the rotation-orbit formula over the
+    representatives (r^(1/m), 0, c_r).
     """
     c = hyperstar_multiplicities(m, q)
-    if use_fast_paths and m == 3:
-        value = _ee_hyperstar_m3(q)
-    elif use_fast_paths and m == 4:
-        value = _ee_hyperstar_m4(q)
-    else:
-        n = q * (m - 1) + 1
-        k = n * (m - 1) ** (n - 1)
-        n0 = k - m * sum(c[1:])
-        value = float(n0)
-        for r in range(1, q + 1):
-            if c[r]:
-                value += c[r] * _orbit_sum(r ** (1.0 / m), 0.0, m)
+    n = q * (m - 1) + 1
+    k = _checked_count(n * (m - 1) ** (n - 1))
+    reps = [(r ** (1.0 / m), 0.0, c[r]) for r in range(1, q + 1) if c[r]]
+    n0 = k - m * sum(c[1:])
+    value = ee_symmetric(reps, n0, m).value
     return EstradaResult(
         value=value, method="hyperstar-closed-form", error_bound=0.0
     )
@@ -314,7 +258,7 @@ def bounds_basic(
     Both are tight exactly for edgeless hypergraphs.  The upper bound is
     evaluated at rho.upper so it stays an upper bound for any enclosure.
     """
-    k = h.eigenvalue_count()
+    k = _checked_count(h.eigenvalue_count())
     lower = float(k + order_m_trace(h) / math.factorial(h.m))
     upper = k * _safe_exp(rho.upper)
     return lower, upper
@@ -335,9 +279,9 @@ def bounds_refined(
     the moment bounds exactly from the trace engine (it vanishes for
     m >= 3 but not for ordinary graphs).
     """
+    k = _checked_count(h.eigenvalue_count())
     if rho is None:
         rho = spectral_radius(h)
-    k = h.eigenvalue_count()
     lower_basic, upper_basic = bounds_basic(h, rho)
     m = h.m
     adj = float(order_m_trace(h) / math.factorial(m))
@@ -385,9 +329,11 @@ def estrada_index(
     while k fits the budget (falling back when the spectrum's trace
     orders overrun the enumeration budget), then the certified trace
     series.  Explicit methods: "star", "spectrum", "series",
-    "symmetric" (spectrum + rotation-orbit formula).
+    "symmetric" (spectrum + rotation-orbit formula).  An eigenvalue
+    count beyond float range is refused with FeasibilityError.
     """
     budget = budget or Budget()
+    _checked_count(h.eigenvalue_count())
     if method == "auto":
         star_q = detect_hyperstar(h)
         if star_q is not None:

@@ -87,8 +87,7 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
     Raises HypergraphFormatError with the offending line number.
     """
     header: tuple[int, int, int] | None = None
-    edges: list[Edge] = []
-    edge_lines: list[int] = []
+    first_line: dict[Edge, int] = {}  # edge -> the line it first appeared on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -113,7 +112,7 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
             header = (m, n, q)
             continue
         m, n, q = header
-        if len(edges) == q:
+        if len(first_line) == q:
             raise HypergraphFormatError(f"line {lineno}: more than the declared {q} edges")
         if len(values) != m:
             raise HypergraphFormatError(
@@ -125,21 +124,20 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
         if len(set(values)) != m:
             raise HypergraphFormatError(f"line {lineno}: repeated vertex within edge")
         edge = tuple(sorted(values))
-        if edge in set(edges):
-            prev = edge_lines[edges.index(edge)]
+        if edge in first_line:
             raise HypergraphFormatError(
-                f"line {lineno}: duplicate edge {edge} (first seen on line {prev})"
+                f"line {lineno}: duplicate edge {edge} "
+                f"(first seen on line {first_line[edge]})"
             )
-        edges.append(edge)
-        edge_lines.append(lineno)
+        first_line[edge] = lineno
     if header is None:
         raise HypergraphFormatError("line 1: empty input, expected 'm n q' header")
     m, n, q = header
-    if len(edges) != q:
+    if len(first_line) != q:
         raise HypergraphFormatError(
-            f"line {len(text.splitlines()) + 1}: expected {q} edges, found {len(edges)}"
+            f"line {len(text.splitlines()) + 1}: expected {q} edges, found {len(first_line)}"
         )
-    return UniformHypergraph(m, n, tuple(edges))
+    return UniformHypergraph(m, n, tuple(first_line))
 
 
 def serialize_hypergraph(h: UniformHypergraph) -> str:
@@ -226,15 +224,6 @@ def detect_hyperstar(h: UniformHypergraph) -> int | None:
         if deg[v - 1] != expected:
             return None
     return h.q
-
-
-def edges_by_vertex(h: UniformHypergraph) -> list[list[int]]:
-    """Indices into h.edges for each vertex (position i <-> vertex i+1)."""
-    incidence: list[list[int]] = [[] for _ in range(h.n)]
-    for idx, e in enumerate(h.edges):
-        for v in e:
-            incidence[v - 1].append(idx)
-    return incidence
 
 
 def from_edge_list(m: int, n: int, edges: Iterable[Iterable[int]]) -> UniformHypergraph:

@@ -34,6 +34,15 @@ from .traces import Budget, FeasibilityError, TraceSequence, trace_sequence
 
 Entry = tuple[complex, int]
 
+# Moves the root pipeline makes on a numeric root z: roots within
+# CLUSTER_RTOL * (1 + |z|) of a cluster's centroid are merged into one
+# multiple root, and an imaginary part within SNAP_ATOL * (1 + |z|) is set
+# to 0.  Spectrum.residual does not cover either move yet.
+CLUSTER_RTOL = 1e-7
+SNAP_ATOL = 1e-8
+# how far, times 1 + |z|, a rotated eigenvalue may sit from its orbit partner
+ROTATION_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CharPoly:
@@ -131,8 +140,8 @@ def _scaled_floats(factor: FPoly) -> tuple[list[float], int]:
     return scaled, t
 
 
-def _snap_real(z: complex, atol: float) -> complex:
-    if abs(z.imag) <= atol * (1.0 + abs(z)):
+def _snap_real(z: complex) -> complex:
+    if abs(z.imag) <= SNAP_ATOL * (1.0 + abs(z)):
         return complex(z.real, 0.0)
     return z
 
@@ -156,13 +165,13 @@ def _symmetrize_conjugates(roots: list[complex]) -> list[complex]:
     return out
 
 
-def _cluster(roots: list[complex], rtol: float) -> list[tuple[complex, int]]:
+def _cluster(roots: list[complex]) -> list[tuple[complex, int]]:
     """Greedy single-linkage merge of numerically coincident roots."""
     clusters: list[list[complex]] = []
     for z in sorted(roots, key=lambda w: (w.real, w.imag)):
         for members in clusters:
             centroid = sum(members) / len(members)
-            if abs(z - centroid) <= rtol * (1.0 + abs(z)):
+            if abs(z - centroid) <= CLUSTER_RTOL * (1.0 + abs(z)):
                 members.append(z)
                 break
         else:
@@ -170,12 +179,7 @@ def _cluster(roots: list[complex], rtol: float) -> list[tuple[complex, int]]:
     return [(sum(ms) / len(ms), len(ms)) for ms in clusters]
 
 
-def roots(
-    cp: CharPoly,
-    *,
-    cluster_rtol: float = 1e-7,
-    snap_atol: float = 1e-8,
-) -> tuple[tuple[Entry, ...], float]:
+def roots(cp: CharPoly) -> tuple[tuple[Entry, ...], float]:
     """Eigenvalue multiset of a characteristic polynomial.
 
     Zero eigenvalues are read off exactly from the vanishing low-order
@@ -202,10 +206,10 @@ def roots(
                 residual = max(
                     residual, float(np.max(np.abs(np.polyval(desc, ys))))
                 )
-            zs = [_snap_real(z * (2.0**t), snap_atol) for z in ys]
+            zs = [_snap_real(z * (2.0**t)) for z in ys]
             zs = _symmetrize_conjugates(zs)
-            for centroid, count in _cluster(zs, cluster_rtol):
-                entries.append((_snap_real(centroid, snap_atol), count * mult))
+            for centroid, count in _cluster(zs):
+                entries.append((_snap_real(centroid), count * mult))
     total = sum(mult for _, mult in entries)
     if total != cp.k:
         raise RuntimeError(
@@ -290,7 +294,7 @@ def spectrum(
 
 
 def symmetric_representatives(
-    s: Spectrum, m: int, tol: float = 1e-8
+    s: Spectrum, m: int
 ) -> tuple[int, list[tuple[float, float, int]]]:
     """Split an m-fold rotation-symmetric spectrum into orbit data.
 
@@ -298,7 +302,7 @@ def symmetric_representatives(
     (alpha, beta, mult) stands for the full orbit
     {(alpha + i*beta) * e^(2*pi*i*l/m) : l = 0..m-1}, every member carrying
     multiplicity mult.  Raises ValueError when the spectrum is not
-    m-fold rotation symmetric within tol.
+    m-fold rotation symmetric within ROTATION_TOL.
     """
     if m < 2:
         raise ValueError("rotation order must be at least 2")
@@ -317,7 +321,7 @@ def symmetric_representatives(
             for item in remaining:
                 if any(item is mch for mch in matches):
                     continue
-                if abs(item[0] - target) <= tol * (1.0 + abs(z0)):
+                if abs(item[0] - target) <= ROTATION_TOL * (1.0 + abs(z0)):
                     hit = item
                     break
             if hit is None:
@@ -335,11 +339,11 @@ def symmetric_representatives(
     return n0, reps
 
 
-def is_m_symmetric(s: Spectrum, m: int, tol: float = 1e-8) -> bool:
+def is_m_symmetric(s: Spectrum, m: int) -> bool:
     """Whether the eigenvalue multiset is invariant under rotation by
     e^(2*pi*i/m)."""
     try:
-        symmetric_representatives(s, m, tol)
+        symmetric_representatives(s, m)
     except ValueError:
         return False
     return True

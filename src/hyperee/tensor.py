@@ -15,6 +15,10 @@ import numpy as np
 from .hypergraph import UniformHypergraph, connected_components, degrees
 
 
+# target relative width of the power-iteration enclosure
+RADIUS_RTOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SpectralRadiusEstimate:
     """Certified enclosure lower <= rho <= upper."""
@@ -57,17 +61,15 @@ def rho_upper_degree(h: UniformHypergraph) -> float:
 
 
 def spectral_radius(
-    h: UniformHypergraph,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
+    h: UniformHypergraph, max_iter: int = 10000
 ) -> SpectralRadiusEstimate:
     """Spectral radius of the adjacency tensor with a certified enclosure.
 
     Power iteration on the diagonally shifted tensor A + I, run per connected
     component; min/max Collatz-Wielandt ratios at every step enclose rho + 1,
-    so the returned interval is valid even before convergence.  If the target
-    width is not reached, the upper bound falls back to the degree bound and
-    the method tag says so.
+    so the returned interval is valid even before convergence.  If the
+    relative width RADIUS_RTOL is not reached, the upper bound falls back to
+    the degree bound and the method tag says so.
     """
     best_lo = 0.0
     best_hi = 0.0
@@ -77,7 +79,7 @@ def spectral_radius(
         comp_edges = [e for e in h.edges if e[0] in comp]
         if not comp_edges:
             continue  # isolated vertex: contributes rho = 0
-        lo, hi, it, ok = _component_enclosure(h.m, comp, comp_edges, tol, max_iter)
+        lo, hi, it, ok = _component_enclosure(h.m, comp, comp_edges, max_iter)
         iters += it
         converged = converged and ok
         best_lo = max(best_lo, lo)
@@ -91,7 +93,6 @@ def _component_enclosure(
     m: int,
     comp: tuple[int, ...],
     comp_edges: list[tuple[int, ...]],
-    tol: float,
     max_iter: int,
 ) -> tuple[float, float, int, bool]:
     local = {v: i for i, v in enumerate(comp)}
@@ -110,7 +111,7 @@ def _component_enclosure(
         ratios = y / xp
         lo_best = max(lo_best, float(ratios.min()) - 1.0)
         hi_best = min(hi_best, float(ratios.max()) - 1.0)
-        if hi_best - lo_best <= tol * max(hi_best, 1e-300):
+        if hi_best - lo_best <= RADIUS_RTOL * max(hi_best, 1e-300):
             return max(lo_best, 0.0), hi_best, it, True
         x = y ** (1.0 / power)
         x /= x.max()

@@ -143,23 +143,6 @@ def trace_sequence(
     return TraceSequence(h.m, h.n, values)
 
 
-def vertex_trace_term(
-    h: UniformHypergraph,
-    d: int,
-    j: int,
-    budget: Budget | None = None,
-    threads: int = 1,
-) -> Fraction:
-    """Per-vertex share of the d-th trace for vertex j (1-based).
-
-    The shares sum to trace_d over j = 1..n; the order-0 share is
-    (m-1)^(n-1) for every vertex.
-    """
-    if not 1 <= j <= h.n:
-        raise ValueError(f"vertex {j} outside 1..{h.n}")
-    return vertex_trace_terms(h, d, budget, threads)[j - 1]
-
-
 def vertex_trace_terms(
     h: UniformHypergraph,
     d: int,
@@ -167,7 +150,9 @@ def vertex_trace_terms(
     threads: int = 1,
     cross_check: bool = False,
 ) -> tuple[Fraction, ...]:
-    """All n per-vertex trace shares of order d, exactly.
+    """All n per-vertex trace shares of order d, exactly; entry j-1 is
+    vertex j's share.  The shares sum to trace_d, and the order-0 share is
+    (m-1)^(n-1) for every vertex.
 
     With cross_check=True, every walk count obtained from the determinant
     route is re-derived by direct memoised walk enumeration whenever the arc

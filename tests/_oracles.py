@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the library's own computational
 paths: ordinary graphs go through dense integer matrices, hyperstars
-through their known eigenvalue families, so a bug in the trace engine or
-the root pipeline cannot hide in its own oracle.
+through their known eigenvalue families, and the rotation-orbit sums of
+m = 3 and m = 4 through their trigonometric closed forms, so a bug in the
+trace engine, the root pipeline or the orbit formula cannot hide in its
+own oracle.
 """
 
 from __future__ import annotations
@@ -65,3 +67,54 @@ def star_trace(m: int, q: int, d: int) -> Fraction:
         return Fraction(0)
     c = star_family_sizes(m, q)
     return Fraction(m * sum(c[r] * r ** (d // m) for r in range(1, q + 1)))
+
+
+def orbit_sum_m3(alpha: float, beta: float) -> float:
+    """e^z + e^(wz) + e^(w^2 z), w = e^(2 pi i/3), z = alpha + i beta,
+    written out in real trigonometric and hyperbolic functions."""
+    root3 = math.sqrt(3.0)
+    return (
+        2.0
+        * math.exp(-alpha / 2.0)
+        * (
+            math.cos(beta / 2.0)
+            * math.cos(root3 * alpha / 2.0)
+            * math.cosh(root3 * beta / 2.0)
+            - math.sin(beta / 2.0)
+            * math.sin(root3 * alpha / 2.0)
+            * math.sinh(root3 * beta / 2.0)
+        )
+        + math.exp(alpha) * math.cos(beta)
+    )
+
+
+def orbit_sum_m4(alpha: float, beta: float) -> float:
+    """e^z + e^(iz) + e^(-z) + e^(-iz) for z = alpha + i beta."""
+    return 2.0 * (
+        math.cos(beta) * math.cosh(alpha) + math.cos(alpha) * math.cosh(beta)
+    )
+
+
+def hyperstar_ee_m3(q: int) -> float:
+    """EE of the 3-uniform hyperstar with q edges, one term per r = 0..q."""
+    total = float(2 ** (2 * q + 1) * q)
+    root3 = math.sqrt(3.0)
+    for r in range(q + 1):
+        c_r = math.comb(q, r) * 3**r
+        x = r ** (1.0 / 3.0)
+        total += c_r * (
+            2.0 * math.exp(-x / 2.0) * math.cos(root3 * x / 2.0)
+            + math.exp(x)
+            - 2.0
+        )
+    return total
+
+
+def hyperstar_ee_m4(q: int) -> float:
+    """EE of the 4-uniform hyperstar with q edges, one term per r = 0..q."""
+    total = float(3 ** (3 * q + 1) * q)
+    for r in range(q + 1):
+        c_r = math.comb(q, r) * 16**r * 11 ** (q - r)
+        x = r**0.25
+        total += c_r * (2.0 * math.cos(x) + math.exp(-x) + math.exp(x) - 3.0)
+    return total

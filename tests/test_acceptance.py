@@ -14,7 +14,7 @@ import math
 import time
 from fractions import Fraction
 
-from _oracles import matrix_power_sums, star_trace
+from _oracles import matrix_power_sums, orbit_sum_m3, orbit_sum_m4, star_trace
 from conftest import CORPUS
 from hyperee.estrada import (
     bounds_refined,
@@ -255,11 +255,13 @@ def test_criterion_7_rotation_orbit_evaluation():
                 folded = ee_symmetric(reps, n0, m, k=s.k).value
                 if abs(folded - direct) > 1e-8 * max(1.0, abs(direct)):
                     failures.append(f"m={m} q={q}: {folded!r} vs {direct!r}")
-                general = ee_symmetric(
-                    reps, n0, m, k=s.k, use_fast_paths=False
-                ).value
-                if abs(folded - general) > 1e-10 * max(1.0, abs(general)):
-                    failures.append(f"m={m} q={q}: fast path drifts from general")
+                oracle = orbit_sum_m3 if m == 3 else orbit_sum_m4
+                trig = n0 + sum(mult * oracle(a, b) for a, b, mult in reps)
+                if abs(folded - trig) > 1e-10 * max(1.0, abs(trig)):
+                    failures.append(
+                        f"m={m} q={q}: orbit formula drifts from the "
+                        f"trigonometric oracle"
+                    )
 
     _guard(failures, body)
     _criterion(7, "rotation-orbit evaluation matches direct summation", failures)

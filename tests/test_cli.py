@@ -79,6 +79,18 @@ def test_ee_rejects_nonpositive_tol(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("ee", "--star", "3", "600"), ("ee", "--empty", "3", "2000"),
+     ("bounds", "--empty", "3", "2000")],
+)
+def test_count_beyond_float_range_exits_infeasible(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert err.startswith("infeasible:") and "beyond float range" in err
+
+
 # traces
 
 

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import math
 import sys
+import time
 
 import pytest
 
-from _oracles import matrix_estrada
+from _oracles import (
+    hyperstar_ee_m3,
+    hyperstar_ee_m4,
+    matrix_estrada,
+    orbit_sum_m3,
+    orbit_sum_m4,
+)
 from conftest import CORPUS
 from hyperee import traces
 from hyperee._poly import ConvergenceError
@@ -61,12 +68,12 @@ def test_graph_star_example():
 
 
 def test_fast_paths_match_general_form():
-    """The m = 3 and m = 4 shortcut formulas track the rotation sum."""
-    for m in (3, 4):
+    """The rotation sum matches the m = 3 and m = 4 trigonometric oracles."""
+    for m, oracle in ((3, hyperstar_ee_m3), (4, hyperstar_ee_m4)):
         for q in range(1, 7):
-            fast = ee_hyperstar(m, q).value
-            general = ee_hyperstar(m, q, use_fast_paths=False).value
-            assert abs(fast - general) <= 1e-10 * max(1.0, abs(general)), (m, q)
+            got = ee_hyperstar(m, q).value
+            want = oracle(q)
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (m, q)
 
 
 def test_closed_form_matches_spectrum_sum():
@@ -176,11 +183,13 @@ def test_symmetric_formula_on_stars():
 
 
 def test_symmetric_formula_fast_vs_general():
-    s = hyperstar_spectrum(3, 3)
-    n0, reps = symmetric_representatives(s, 3)
-    a = ee_symmetric(reps, n0, 3, k=s.k).value
-    b = ee_symmetric(reps, n0, 3, k=s.k, use_fast_paths=False).value
-    assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+    """The rotation sum matches the trigonometric orbit oracles."""
+    for m, oracle in ((3, orbit_sum_m3), (4, orbit_sum_m4)):
+        s = hyperstar_spectrum(m, 3)
+        n0, reps = symmetric_representatives(s, m)
+        got = ee_symmetric(reps, n0, m, k=s.k).value
+        want = n0 + sum(mult * oracle(alpha, beta) for alpha, beta, mult in reps)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), m
 
 
 def test_symmetric_formula_checks_coverage():
@@ -350,3 +359,30 @@ def test_bounds_moment_dominates_ee_on_tight_pair():
         rep.upper_radius, rep.upper_radius_adjusted,
     ):
         assert ee < upper
+
+
+# Eigenvalue counts beyond float range
+
+
+@pytest.mark.parametrize(
+    "h",
+    [gen_empty(3, 2000), gen_hyperstar(3, 600), gen_hyperpath(3, 600)],
+    ids=["empty-3-2000", "star-3-600", "path-3-600"],
+)
+def test_count_beyond_float_range_is_refused_fast(h):
+    start = time.perf_counter()
+    with pytest.raises(FeasibilityError, match="beyond float range"):
+        estrada_index(h)
+    with pytest.raises(FeasibilityError, match="beyond float range"):
+        ee_trace_series(h)
+    with pytest.raises(FeasibilityError, match="beyond float range"):
+        bounds_refined(None, h)
+    with pytest.raises(FeasibilityError, match="beyond float range"):
+        bounds_basic(h, spectral_radius(gen_hyperstar(3, 1)))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_hyperstar_beyond_float_range_is_refused():
+    with pytest.raises(FeasibilityError, match="beyond float range"):
+        ee_hyperstar(3, 600)
+    assert math.isfinite(ee_hyperstar(3, 500).value)  # k = 1001 * 4^500 fits

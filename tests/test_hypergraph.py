@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from hyperee.hypergraph import (
@@ -11,7 +13,6 @@ from hyperee.hypergraph import (
     connected_components,
     degrees,
     detect_hyperstar,
-    edges_by_vertex,
     from_edge_list,
     gen_empty,
     gen_hyperpath,
@@ -123,6 +124,22 @@ def test_parse_rejects_duplicate_edge_with_both_lines():
         parse_hypergraph("3 4 2\n1 2 3\n3 2 1\n")
 
 
+def test_parse_is_linear_in_edges():
+    """20,000 edges parse in under 2 s, and a duplicate on the last line
+    still names the line its edge first appeared on."""
+    text = serialize_hypergraph(gen_hyperpath(3, 20_000))
+    start = time.perf_counter()
+    h = parse_hypergraph(text)
+    assert time.perf_counter() - start < 2.0
+    assert h.q == 20_000
+    rest = text.split("\n", 1)[1]
+    dup = f"3 40001 20001\n{rest}3 2 1\n"
+    start = time.perf_counter()
+    with pytest.raises(HypergraphFormatError, match="line 20002.*first seen on line 2"):
+        parse_hypergraph(dup)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_parse_rejects_edge_count_mismatch():
     with pytest.raises(HypergraphFormatError, match="expected 2 edges"):
         parse_hypergraph("3 4 2\n1 2 3\n")
@@ -212,8 +229,3 @@ def test_detect_hyperstar_rejects_non_stars():
     assert detect_hyperstar(from_edge_list(3, 5, [(1, 2, 3), (1, 2, 4)])) is None
     # star plus an isolated vertex is not a star
     assert detect_hyperstar(from_edge_list(3, 4, [(1, 2, 3)])) is None
-
-
-def test_edges_by_vertex():
-    h = from_edge_list(3, 5, [(1, 2, 3), (1, 4, 5)])
-    assert edges_by_vertex(h) == [[0, 1], [0], [0], [1], [1]]

@@ -17,7 +17,6 @@ from hyperee.traces import (
     TraceSequence,
     trace_d,
     trace_sequence,
-    vertex_trace_term,
     vertex_trace_terms,
 )
 
@@ -136,10 +135,13 @@ def test_vertex_term_order_zero_share():
 
 
 def test_vertex_term_single_index():
+    """Vertex j's share is entry j-1: the centre (vertex 1) and the equal
+    leaf shares add up to the hyperstar's trace."""
     h = CORPUS["star-3-2"]
     terms = vertex_trace_terms(h, 6)
-    assert vertex_trace_term(h, 6, 1) == terms[0]
-    assert vertex_trace_term(h, 6, h.n) == terms[-1]
+    assert len(terms) == h.n
+    centre, leaf = terms[0], terms[h.n - 1]
+    assert centre + (h.n - 1) * leaf == star_trace(3, 2, 6)
 
 
 def test_vertex_terms_follow_symmetry():
@@ -206,11 +208,6 @@ def test_rejects_negative_order():
         trace_d(CORPUS["path-3-1"], -1)
     with pytest.raises(ValueError):
         trace_sequence(CORPUS["path-3-1"], -1)
-
-
-def test_rejects_vertex_out_of_range():
-    with pytest.raises(ValueError, match="outside"):
-        vertex_trace_term(CORPUS["path-3-1"], 3, 4)
 
 
 def test_trace_sequence_metadata():
