@@ -7,8 +7,9 @@ eigenvalues.  Each method carries its own error story:
   spectrum's root residual propagates into the error bound.
 * trace-series: partial sums of sum_d Tr_d / d! in exact rational
   arithmetic, truncated once a certified tail bound drops below the
-  target tolerance (|Tr_d| <= k * rho^d makes the tail a Taylor
-  remainder of e^rho).
+  target tolerance (|Tr_d| <= k * rho^d bounds the tail by k times a
+  remainder of the series of e^rho); orders certified zero by an
+  m-symmetry labelling are skipped.
 * symmetric-formula: for spectra invariant under rotation by
   e^(2*pi*i/m), the exponential sum over each rotation orbit collapses
   to a real trigonometric expression in one representative.
@@ -35,8 +36,19 @@ from .spectrum import (
     spectrum,
     symmetric_representatives,
 )
-from .tensor import SpectralRadiusEstimate, spectral_radius
-from .traces import Budget, FeasibilityError, trace_d
+from .tensor import (
+    SpectralRadiusEstimate,
+    rho_lower_degree,
+    rho_upper_degree,
+    spectral_radius,
+)
+from .traces import (
+    Budget,
+    FeasibilityError,
+    _max_admitted_order,
+    _order_step,
+    trace_d,
+)
 
 IMAG_DISCARD_LIMIT = 1e-8
 
@@ -53,7 +65,9 @@ class EstradaResult:
     the imaginary mass dropped when realizing the value.  converged is
     False only for a trace series stopped early by the feasibility
     guard, in which case error_bound still honestly covers the missing
-    tail.
+    tail.  terms_used, for trace-series, is the number of orders summed
+    (orders 0..terms_used-1); orders certified zero count as summed,
+    though their traces are never computed.
     """
 
     value: float
@@ -115,47 +129,83 @@ def ee_trace_series(
 ) -> EstradaResult:
     """EE as the exact series sum_d Tr_d / d!, certified truncation.
 
-    Orders 0..D are accumulated as exact rationals; truncation happens
-    once k * rho_hat^(D+1) * e^rho_hat / (D+1)! <= target_tol, which
-    bounds everything left because |Tr_d| <= k * rho^d.  rho_hat must
-    dominate the true spectral radius (the power-iteration upper end is
-    used when not supplied).  If the trace enumeration becomes
-    infeasible first, the partial sum is returned with converged=False
-    and the same honest tail bound.
+    Orders 0..D-1 are accumulated as exact rationals; truncation happens
+    once _series_tail(k, rho_hat, D') <= target_tol, D' being the first
+    order >= D that can be nonzero, which bounds everything left because
+    |Tr_d| <= k * rho^d.  rho_hat must dominate the true spectral radius
+    (the power-iteration upper end is used when not supplied).  Orders
+    that _order_step proves zero are never computed; they count as
+    summed.  If the trace enumeration becomes infeasible first, the
+    partial sum is returned with converged=False and the same honest tail
+    bound.  When no order the budget admits could bring the tail under
+    target_tol, that happens at the degree bound, without the power
+    iteration.
     """
     if target_tol <= 0:
         raise ValueError("target_tol must be positive")
     budget = budget or Budget()
     k = _checked_count(h.eigenvalue_count())
+    top = _max_admitted_order(h, budget)
+    step = _order_step(h, top)
     if rho_hat is None:
-        rho_hat = spectral_radius(h).upper
-    exp_rho = _safe_exp(rho_hat)
+        last = top + 1 + (-(top + 1) % step)
+        # the tail bound grows with rho; before its largest term it is at
+        # least k, and past it, it falls with the order.  So if even a lower
+        # bound on rho leaves it above target_tol at the first order out of
+        # reach, the series stops unconverged whatever the radius, and the
+        # degree bound serves in place of the power iteration
+        if target_tol < k and _series_tail(k, rho_lower_degree(h), last) > target_tol:
+            rho_hat = rho_upper_degree(h)
+        else:
+            rho_hat = spectral_radius(h).upper
     acc = Fraction(0)
-    factorial_d = 1  # d!
-    power_term = 1.0  # rho_hat^d / d!
-    d = 0
+    d = 0  # every order below d is summed
     while True:
-        tail = k * power_term * exp_rho
+        nxt = d + (-d % step)  # the first order >= d that can be nonzero
+        tail = _series_tail(k, rho_hat, nxt)
         if tail <= target_tol:
             return EstradaResult(
                 float(acc), "trace-series", tail, terms_used=d
             )
-        if d > budget.max_degree:
+        if nxt > budget.max_degree:
             return EstradaResult(
-                float(acc), "trace-series", tail, terms_used=d,
-                converged=False,
+                float(acc), "trace-series", tail,
+                terms_used=max(d, budget.max_degree + 1), converged=False,
             )
         try:
-            tr = trace_d(h, d, budget=budget, threads=threads)
+            tr = trace_d(h, nxt, budget=budget, threads=threads)
         except FeasibilityError:
             return EstradaResult(
-                float(acc), "trace-series", tail, terms_used=d,
+                float(acc), "trace-series", tail, terms_used=nxt,
                 converged=False,
             )
-        acc += tr / factorial_d
-        d += 1
-        factorial_d *= d
-        power_term *= rho_hat / d
+        acc += tr / math.factorial(nxt)
+        d = nxt + 1
+
+
+def _series_tail(k: int, rho: float, d: int) -> float:
+    """An upper bound on k * sum_{j >= d} rho^j / j!.
+
+    The Taylor remainder of e^rho bounds the sum by rho^d/d! * e^rho.
+    Once d + 1 > rho every term is at most rho/(d+1) times the one before,
+    so the geometric series bounds it by rho^d/d! * (d+1)/(d+1-rho).  The
+    smaller bound is returned.  Each float operation is rounded to nearest
+    and then moved one float up (the divisor d+1-rho one float down), so
+    every partial result bounds its exact value, through underflow and
+    overflow alike; math.exp is within one ulp.
+    """
+    first = _up(float(k))
+    for j in range(1, d + 1):
+        first = _up(_up(first * rho) / j)
+    tail = _up(first * _up(_safe_exp(rho)))
+    gap = math.nextafter(d + 1 - rho, 0.0)
+    if gap > 0:
+        tail = min(tail, _up(_up(first * (d + 1)) / gap))
+    return tail
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
 
 
 def _orbit_sum(alpha: float, beta: float, m: int) -> float:

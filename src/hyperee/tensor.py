@@ -60,6 +60,14 @@ def rho_upper_degree(h: UniformHypergraph) -> float:
     return float(degrees(h).max_degree)
 
 
+def rho_lower_degree(h: UniformHypergraph) -> float:
+    """Largest minimum degree over the connected components: the
+    Collatz-Wielandt bound of the all-ones vector on each component, so
+    always a lower bound for the spectral radius."""
+    deg = degrees(h).degrees
+    return float(max(min(deg[v - 1] for v in comp) for comp in connected_components(h)))
+
+
 def spectral_radius(
     h: UniformHypergraph, max_iter: int = 10000
 ) -> SpectralRadiusEstimate:

@@ -25,11 +25,10 @@ Every result is exact: Python integers and fractions.Fraction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-import multiprocessing
 
 import numpy as np
 
@@ -80,8 +79,27 @@ def trace_d(
     return sum(vertex_trace_terms(h, d, budget, threads), Fraction(0))
 
 
+def _closed_form_work(m: int, n: int, q: int, d: int) -> int:
+    """What the budget charges order d before any enumeration: n^3 per bit
+    of d for a graph's matrix powers, and for m >= 3 the C(d+q-1, q-1)
+    vectors of per-edge pick totals with sum d over q edges."""
+    if m == 2:
+        return n**3 * d.bit_length()
+    return math.comb(d + q - 1, q - 1) if q else 0
+
+
+def _max_admitted_order(h: UniformHypergraph, budget: Budget) -> int:
+    """The highest order up to budget.max_degree that _closed_form_work
+    admits; the work grows with d, so no higher order can be computed."""
+    d = 0
+    while (d < budget.max_degree
+           and _closed_form_work(h.m, h.n, len(h.edges), d + 1) <= budget.max_selections):
+        d += 1
+    return d
+
+
 def _check_graph_budget(n: int, d: int, budget: Budget) -> None:
-    if n**3 * d.bit_length() > budget.max_selections:
+    if _closed_form_work(2, n, 0, d) > budget.max_selections:
         raise FeasibilityError(
             f"trace enumeration infeasible (n={n}, m=2, d={d}): matrix-power "
             f"work n^3*bits(d) exceeds {budget.max_selections}"
@@ -125,22 +143,180 @@ def trace_sequence(
 
     The selection budget of every order is checked before any order is
     computed, so a request that some order cannot meet is refused in
-    milliseconds rather than after the cheaper orders.
+    milliseconds rather than after the cheaper orders.  The orders
+    _order_step proves zero are 0 without being checked or computed.
     """
     if max_d < 0:
         raise ValueError("max_d must be >= 0")
     budget = budget or Budget()
+    step = _order_step(h, min(max_d, _max_admitted_order(h, budget)))
+    orders = range(0, max_d + 1, step)
     if h.m == 2:
-        _check_graph_budget(h.n, max_d, budget)  # the work grows with d
+        _check_graph_budget(h.n, orders[-1], budget)  # the work grows with d
     elif h.edges:
         # trace_d enumerates each order's candidates again: it stays the one
         # per-order entry point, and the enumeration is a small share of an
         # order's work (3-26% on the n=4 inputs, the least on the costliest)
         ctx = _EnumerationContext(h)
-        for d in range(1, max_d + 1):
+        for d in orders[1:]:
             _sigma_candidates(ctx, d, budget)
-    values = tuple(trace_d(h, d, budget, threads) for d in range(max_d + 1))
-    return TraceSequence(h.m, h.n, values)
+    values = [Fraction(0)] * (max_d + 1)
+    for d in orders:
+        values[d] = trace_d(h, d, budget, threads)
+    return TraceSequence(h.m, h.n, tuple(values))
+
+
+def _order_step(h: UniformHypergraph, top: int) -> int:
+    """The step between the orders up to top that can be nonzero: m when
+    _rotation_labelling finds a labelling, else 1.  None is sought unless
+    top > m, because orders 1..m-1 vanish anyway."""
+    return h.m if top > h.m and _rotation_labelling(h) is not None else 1
+
+
+def _rotation_labelling(h: UniformHypergraph) -> tuple[int, ...] | None:
+    """A labelling phi of the vertices by Z_m with sum_{v in e} phi(v) = 1
+    (mod m) on every edge e, or None if there is none.
+
+    A labelling proves Tr_d = 0 for every order d that m does not divide.
+    Tr_d is a sum over the sigma candidates of order d: per-edge pick totals
+    sigma_e with sum_e sigma_e = d whose vertex totals
+    t_v = sum_{e containing v} sigma_e are all divisible by m.  For such a
+    sigma, 0 = sum_v phi(v) t_v = sum_e sigma_e sum_{v in e} phi(v)
+    = sum_e sigma_e = d (mod m), so no order with m not dividing d has a
+    candidate.  The spectrum is then m-symmetric.  For m = 2 a labelling is a
+    proper 2-colouring, so this is a bipartiteness test.
+
+    Each component is labelled edge by edge in breadth-first order, every
+    label an affine form in free parameters.  An edge with unlabelled
+    vertices is made to sum to 1 by its last unlabelled vertex, and its
+    other unlabelled vertices become parameters; an edge labelled
+    throughout already is an equation on the parameters.  Every labelling
+    arises this way, so the equations decide existence; a graph component
+    has one parameter, and a hypertree no equation (a form can grow with
+    the length of a chain of edges, so the work is quadratic in the worst
+    case).  The equations are solved exactly (_solve_mod), and the
+    labelling is checked edge by edge before it is returned.
+    """
+    m = h.m
+    incident: list[list[tuple[int, ...]]] = [[] for _ in range(h.n + 1)]
+    for e in h.edges:
+        for v in e:
+            incident[v].append(e)
+    labels = [0] * (h.n + 1)
+    forms: dict[int, dict[int, int]] = {}  # {parameter: coefficient}, constant at -1
+    seen: set[tuple[int, ...]] = set()
+    for root in range(1, h.n + 1):
+        if root in forms:
+            continue
+        component, params, equations = [], 0, []
+        queue = deque([root])
+        while queue:
+            for e in incident[queue.popleft()]:
+                if e in seen:
+                    continue
+                seen.add(e)
+                free = [v for v in e if v not in forms]
+                if not free:
+                    equations.append(e)
+                    continue
+                for v in free[:-1]:
+                    forms[v] = {params: 1}
+                    params += 1
+                form = {-1: 1}
+                for u in e:
+                    if u != free[-1]:
+                        for key, c in forms[u].items():
+                            form[key] = (form.get(key, 0) - c) % m
+                forms[free[-1]] = form
+                component += free
+                queue.extend(free)
+        a = np.zeros((len(equations), params), dtype=np.int64)
+        b = np.ones(len(equations), dtype=np.int64)
+        for i, e in enumerate(equations):
+            for v in e:
+                for key, c in forms[v].items():
+                    if key < 0:
+                        b[i] -= c
+                    else:
+                        a[i, key] += c
+        values = _solve_mod(a, b, m) if equations else np.zeros(params, dtype=np.int64)
+        if values is None:
+            return None
+        for v in component:
+            form = forms[v]
+            labels[v] = sum(c * int(values[key]) if key >= 0 else c for key, c in form.items()) % m
+    labelling = tuple(labels[1:])
+    if any(sum(labelling[v - 1] for v in e) % m != 1 for e in h.edges):
+        return None  # correctness rests on this check, not on the solver
+    return labelling
+
+
+def _solve_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray | None:
+    """Some x with a @ x = b (mod m), or None: solved modulo each prime
+    power of m and joined by the Chinese remainder theorem."""
+    x = np.zeros(a.shape[1], dtype=np.int64)
+    p, rest = 2, m
+    while rest > 1:
+        if rest % p == 0:
+            power = 1
+            while rest % p == 0:
+                rest //= p
+                power *= p
+            part = _solve_mod_prime_power(a, b, p, power)
+            if part is None:
+                return None
+            cofactor = m // power
+            x = (x + part * (cofactor * pow(cofactor, -1, power))) % m
+        p += 1
+    return x
+
+
+def _solve_mod_prime_power(
+    a: np.ndarray, b: np.ndarray, p: int, modulus: int
+) -> np.ndarray | None:
+    """Some x with a @ x = b (mod modulus), modulus a power of the prime p,
+    or None if there is none.
+
+    Row operations and column swaps bring a to upper triangular form whose
+    pivot on row r is u * p^k (u a unit) with every later entry of the row
+    divisible by p^k, because each pivot has the least p-adic valuation
+    left; this is complete over Z/p^a, where elimination mod p alone is
+    not.  Row r is then solvable exactly when p^k divides its right-hand
+    side, and the rows past the rank need a zero right-hand side.
+    """
+    rows, cols = a.shape
+    work = np.concatenate([a, b[:, None]], axis=1) % modulus
+    columns = np.arange(cols)  # column j of work holds variable columns[j]
+    scales = []  # p^k of each pivot
+    for r in range(min(rows, cols)):
+        block = work[r:, r:cols]
+        scale = 1
+        while scale < modulus and not (block % (scale * p)).any():
+            scale *= p
+        if scale == modulus:
+            break  # the rest of the coefficients vanish mod p^a
+        i, j = (int(t) + r for t in np.argwhere(block % (scale * p))[0])
+        work[[r, i]] = work[[i, r]]
+        work[:, [r, j]] = work[:, [j, r]]
+        columns[[r, j]] = columns[[j, r]]
+        unit_inv = pow(int(work[r, r]) // scale, -1, modulus)
+        below = r + 1 + np.flatnonzero(work[r + 1:, r])
+        factors = (work[below, r] // scale) * unit_inv % modulus
+        work[below, r:] = (work[below, r:] - np.outer(factors, work[r, r:])) % modulus
+        scales.append(scale)
+    rank = len(scales)
+    if work[rank:, cols].any():
+        return None
+    y = np.zeros(cols, dtype=np.int64)
+    for r in reversed(range(rank)):
+        rhs = int(work[r, cols] - work[r, r + 1:cols] @ y[r + 1:]) % modulus
+        if rhs % scales[r]:
+            return None
+        unit_inv = pow(int(work[r, r]) // scales[r], -1, modulus)
+        y[r] = rhs // scales[r] * unit_inv % modulus
+    x = np.zeros(cols, dtype=np.int64)
+    x[columns] = y
+    return x
 
 
 def vertex_trace_terms(
@@ -176,9 +352,10 @@ def vertex_trace_terms(
     if threads == 1 or len(candidates) < 2 * threads:
         acc = _accumulate(ctx, candidates, cross_check)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only workers need it
+
         chunks = [candidates[i::threads] for i in range(threads)]
-        mp = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=threads, mp_context=mp) as pool:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             partials = list(
                 pool.map(
                     _accumulate_worker,
@@ -216,7 +393,7 @@ def _sigma_candidates(ctx: _EnumerationContext, d: int, budget: Budget) -> list[
         f"trace enumeration infeasible (n={ctx.n}, m={ctx.m}, d={d}): "
         f"predicted selection count exceeds {budget.max_selections}"
     )
-    if math.comb(d + n_edges - 1, n_edges - 1) > budget.max_selections:
+    if _closed_form_work(m, ctx.n, n_edges, d) > budget.max_selections:
         raise infeasible
     finalize_at: list[list[int]] = [[] for _ in range(n_edges)]
     for v, last in enumerate(ctx.last_edge):

@@ -2,14 +2,16 @@
 
 Everything here deliberately avoids the library's own computational
 paths: ordinary graphs go through dense integer matrices, hyperstars
-through their known eigenvalue families, and the rotation-orbit sums of
-m = 3 and m = 4 through their trigonometric closed forms, so a bug in the
-trace engine, the root pipeline or the orbit formula cannot hide in its
-own oracle.
+through their known eigenvalue families, the rotation-orbit sums of
+m = 3 and m = 4 through their trigonometric closed forms, and the
+m-symmetry labelling through a search of every labelling, so a bug in the
+trace engine, the root pipeline, the orbit formula or the labelling solver
+cannot hide in its own oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -37,6 +39,16 @@ def matrix_power_sums(h: UniformHypergraph, max_d: int) -> list[int]:
         out.append(int(np.trace(power)))
         power = power @ a
     return out
+
+
+def has_rotation_labelling(h: UniformHypergraph, modulus: int | None = None) -> bool:
+    """Whether some labelling phi: V -> Z_modulus (modulus m by default)
+    gives every edge the label sum 1, by trying all modulus^n labellings."""
+    modulus = modulus or h.m
+    return any(
+        all(sum(phi[v - 1] for v in e) % modulus == 1 for e in h.edges)
+        for phi in itertools.product(range(modulus), repeat=h.n)
+    )
 
 
 def matrix_estrada(h: UniformHypergraph) -> float:

@@ -6,6 +6,7 @@ import math
 import sys
 import time
 
+import mpmath
 import pytest
 
 from _oracles import (
@@ -24,6 +25,7 @@ from hyperee.estrada import (
     ee_from_spectrum,
     ee_hyperstar,
     ee_symmetric,
+    _series_tail,
     ee_trace_series,
     estrada_index,
     order_m_trace,
@@ -168,6 +170,107 @@ def test_series_partial_when_order_cap_hits():
 def test_series_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         ee_trace_series(gen_hyperpath(3, 1), 0.0)
+
+
+def _mp_remainder(k: int, rho: float, d: int) -> mpmath.mpf:
+    """k * sum_{j >= d} rho^j / j! at 50 digits, term by term."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(rho)
+        term, total, j = r**d / mpmath.factorial(d), mpmath.mpf(0), d
+        while term > total * mpmath.mpf(10) ** -55:
+            total += term
+            j += 1
+            term = term * r / j
+        return k * total
+
+
+@pytest.mark.parametrize("k", [1, 80, 1114112, 3**200])
+def test_series_tail_bounds_the_remainder(k):
+    """Both forms of the tail bound, and the switch between them, stay at
+    or above the exact remainder; rho straddles d + 1 on purpose."""
+    for rho in (0.0, 1e-3, 0.5, 1.0, 1.5874, 2.0, 3.99, 7.999999, 8.0, 8.000001, 20.0):
+        for d in (0, 1, 2, 3, 6, 7, 8, 9, 12, 21, 40, 90):
+            got = _series_tail(k, rho, d)
+            assert mpmath.mpf(got) >= _mp_remainder(k, rho, d), (rho, d)
+
+
+def test_series_tail_is_sharp_past_the_peak():
+    """Past the largest term the geometric form replaces the factor e^rho."""
+    k, rho, d = 448, 3.0, 18
+    first = k * rho**d / math.factorial(d)
+    assert _series_tail(k, rho, d) == pytest.approx(first * (d + 1) / (d + 1 - rho))
+    assert _series_tail(k, rho, d) < first * math.exp(rho) / 10
+
+
+def test_series_traces_only_orders_that_can_be_nonzero(monkeypatch):
+    """An input with an m-symmetry labelling never has trace_d called at an
+    order m does not divide; the skipped orders count as summed."""
+    orders = []
+
+    def record(h, d, **kwargs):
+        orders.append(d)
+        return trace_d(h, d, **kwargs)
+
+    monkeypatch.setattr(sys.modules["hyperee.estrada"], "trace_d", record)
+    h = CORPUS["path-3-3"]
+    res = ee_trace_series(h, 1e-8, rho_hat=1.5)
+    assert orders == list(range(0, max(orders) + 1, 3))
+    assert res.converged and res.terms_used > max(orders)
+    # the tail is taken at the next order that can be nonzero
+    nxt = res.terms_used + (-res.terms_used % 3)
+    assert res.error_bound == _series_tail(h.eigenvalue_count(), 1.5, nxt)
+    assert res.error_bound < _series_tail(h.eigenvalue_count(), 1.5, res.terms_used)
+
+
+# ee_trace_series(h, 1e-8) before orders certified zero were skipped and
+# the tail bound sharpened: (value, error_bound)
+SERIES_BEFORE_SKIP = {
+    "empty-2-5": (5.0, 0.0),
+    "empty-3-4": (32.0, 0.0),
+    "empty-4-4": (108.0, 0.0),
+    "path-2-4": (9.915316149348888, 8.862179792932653e-09),
+    "path-3-1": (13.512524820376383, 5.238360845287129e-09),
+    "path-3-2": (92.17564578072391, 6.901080826121479e-09),
+    "path-3-3": (521.2054414772562, 1.167611734103219e-09),
+    "path-4-1": (110.66825410186522, 3.367517686256011e-09),
+    "path-4-2": (5247.136527979045, 8.966038985305169e-10),
+    "rand-2-a": (12.610552651714992, 1.8152611619016613e-09),
+    "rand-2-b": (20.430982058754825, 6.158022161326608e-09),
+    "rand-2-c": (8.6357338373478, 2.6598422947121736e-09),
+    "rand-3-a": (229.67379645198508, 4.804721427715447e-09),
+    "rand-3-b": (242.54397912333468, 6.790871825485208e-09),
+    "rand-3-c": (521.5101484010368, 1.4018335805339192e-09),
+    "rand-4-a": (421.10483005903194, 3.939238633439468e-09),
+    "rand-4-b": (1530.6920992252249, 3.6267987732190693e-09),
+    "rand-4-c": (5247.943470531288, 4.393409972244257e-09),
+    "star-2-3": (7.829154879718496, 7.089743834682535e-09),
+    "star-2-6": (16.668772819617356, 2.0150499030068453e-09),
+    "star-3-2": (92.17564578072391, 6.901080826121479e-09),
+    "star-3-3": (521.5079033810518, 2.6931319918821156e-09),
+    "star-4-1": (110.66825410186522, 3.367517686256011e-09),
+    "tight-pair-3": (38.20159211863974, 1.1354140520724968e-09),
+}
+
+
+def test_series_agrees_with_values_before_the_skip():
+    for name, (value, bound) in SERIES_BEFORE_SKIP.items():
+        res = ee_trace_series(CORPUS[name], 1e-8)
+        assert res.converged and res.error_bound <= 1e-8, name
+        assert abs(res.value - value) <= res.error_bound + bound, name
+
+
+def test_series_on_a_long_path_answers_fast_and_honestly():
+    """Orders past 4 are out of the selection budget on a 200-edge loose
+    path, and even the radius lower bound 1 leaves the tail above tol
+    there, so the power iteration (which stalls on this input) is skipped
+    and the partial sum comes back at the degree bound 2."""
+    h = gen_hyperpath(3, 200)
+    start = time.perf_counter()
+    res = estrada_index(h)
+    assert time.perf_counter() - start < 1.0
+    assert res.method == "trace-series" and not res.converged
+    # |Tr_j| <= k 2^j, and Tr_j = 0 unless 3 divides j
+    assert mpmath.mpf(res.error_bound) >= _mp_remainder(h.eigenvalue_count(), 2.0, res.terms_used)
 
 
 # Rotation-symmetric evaluation

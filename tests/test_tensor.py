@@ -9,7 +9,7 @@ import pytest
 
 from conftest import CORPUS
 from hyperee.hypergraph import from_edge_list, gen_empty, gen_hyperpath, gen_hyperstar
-from hyperee.tensor import apply, rho_upper_degree, spectral_radius
+from hyperee.tensor import apply, rho_lower_degree, rho_upper_degree, spectral_radius
 
 # Tensor action
 
@@ -94,6 +94,14 @@ def test_radius_isolated_vertices_ignored():
 def test_degree_bound_dominates():
     for h in CORPUS.values():
         assert spectral_radius(h).upper <= rho_upper_degree(h) + 1e-9
+
+
+def test_component_min_degree_is_a_lower_bound():
+    """Largest per-component minimum degree never exceeds the radius."""
+    for h in [*CORPUS.values(), from_edge_list(3, 7, [(1, 2, 3), (1, 4, 5), (1, 6, 7)])]:
+        assert rho_lower_degree(h) <= spectral_radius(h).upper + 1e-9
+    disjoint = from_edge_list(2, 7, [(1, 2), (3, 4), (4, 5), (5, 3), (6, 7)])
+    assert rho_lower_degree(disjoint) == 2.0  # the triangle, not the edges
 
 
 def test_degree_bound_fallback_when_starved():

@@ -7,9 +7,9 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import matrix_power_sums
+from _oracles import has_rotation_labelling, matrix_power_sums
 from hyperee.hypergraph import UniformHypergraph, from_edge_list
-from hyperee.traces import trace_d, vertex_trace_terms
+from hyperee.traces import _rotation_labelling, trace_d, vertex_trace_terms
 
 PROPERTY_SETTINGS = settings(
     max_examples=30, deadline=None, derandomize=True, database=None
@@ -50,3 +50,23 @@ def test_walk_cross_check_agrees(h, d):
     """Re-deriving every small walk count by direct enumeration changes
     nothing."""
     assert vertex_trace_terms(h, d, cross_check=True) == vertex_trace_terms(h, d)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        st.sampled_from([3, 4]).flatmap(lambda m: hypergraphs(m, 6, 6)),
+        hypergraphs(2, 8, 12),
+    )
+)
+def test_rotation_labelling_matches_search(h):
+    """The solver finds a labelling exactly when a search of all m^n
+    labellings does; when it finds one, every order up to 12 that m does
+    not divide has trace 0 in the full engine."""
+    labels = _rotation_labelling(h)
+    assert (labels is not None) == has_rotation_labelling(h)
+    if labels is not None:
+        assert all(sum(labels[v - 1] for v in e) % h.m == 1 for e in h.edges)
+        for d in range(1, 13):
+            if d % h.m:
+                assert trace_d(h, d) == 0

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import matrix_power_sums, star_trace
+from _oracles import has_rotation_labelling, matrix_power_sums, star_trace
 from conftest import CORPUS
 from hyperee import traces
 from hyperee.hypergraph import from_edge_list, gen_empty, gen_hyperpath, gen_hyperstar
@@ -222,3 +222,79 @@ def test_graph_traces_are_integers():
     """Ordinary-graph power sums must come out with denominator 1."""
     ts = trace_sequence(CORPUS["rand-2-b"], 7)
     assert all(v.denominator == 1 for v in ts.values)
+
+
+# m-symmetry certificate
+
+
+def test_rotation_labelling_is_exact_mod_4():
+    """4-uniform inputs that elimination mod 2, or pivots on units alone,
+    would decide wrongly: the first two are solvable mod 2 but not mod 4,
+    and the third has a labelling that needs a pivot divisible by 2."""
+    for n, edges, solvable in (
+        (6, [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (1, 4, 5, 6), (2, 4, 5, 6), (3, 4, 5, 6)], False),
+        (6, [(1, 2, 3, 6), (1, 2, 4, 5), (1, 3, 4, 6), (1, 3, 5, 6), (2, 3, 4, 5), (2, 4, 5, 6)], False),
+        (7, [(1, 2, 3, 5), (1, 3, 4, 6), (2, 3, 4, 7), (3, 5, 6, 7)], True),
+    ):
+        h = from_edge_list(4, n, edges)
+        assert has_rotation_labelling(h, 2)
+        assert has_rotation_labelling(h) == solvable
+        assert (traces._rotation_labelling(h) is not None) == solvable
+
+
+def test_complete_three_graph_on_four_vertices_is_not_symmetric():
+    """K_4^(3) has no labelling, and indeed its order-4 trace is nonzero."""
+    h = from_edge_list(3, 4, itertools.combinations(range(1, 5), 3))
+    assert traces._rotation_labelling(h) is None
+    assert trace_d(h, 4) == 168
+
+
+def test_certified_zero_orders_match_the_engine():
+    """Every corpus input with a labelling has zero traces at the orders
+    m does not divide, by the engine that never consults the labelling."""
+    for name, h in CORPUS.items():
+        if traces._rotation_labelling(h) is not None:
+            for d in range(1, 13):
+                if d % h.m:
+                    assert trace_d(h, d) == 0, (name, d)
+
+
+def test_trace_sequence_equals_per_order_traces():
+    """Skipping certified orders leaves every value of the sequence as
+    trace_d computes it, order by order."""
+    for name, h in CORPUS.items():
+        ts = trace_sequence(h, 12)
+        assert ts.values == tuple(trace_d(h, d) for d in range(13)), name
+
+
+def test_trace_sequence_skips_certified_orders(monkeypatch):
+    """A labelled input is neither budget-checked nor traced at the orders
+    m does not divide."""
+    checked, traced = [], []
+    enumerate_orders, trace_order = traces._sigma_candidates, traces.trace_d
+
+    def record_check(ctx, d, budget):
+        checked.append(d)
+        return enumerate_orders(ctx, d, budget)
+
+    def record_trace(h, d, *args):
+        traced.append(d)
+        return trace_order(h, d, *args)
+
+    monkeypatch.setattr(traces, "_sigma_candidates", record_check)
+    monkeypatch.setattr(traces, "trace_d", record_trace)
+    ts = trace_sequence(CORPUS["path-3-2"], 12)
+    assert traced == [0, 3, 6, 9, 12]
+    assert set(checked) == {3, 6, 9, 12}
+    assert ts.values[4] == 0
+
+
+def test_rotation_labelling_joins_prime_powers():
+    """m = 6 is solved mod 2 and mod 3 and joined; K_7^(6) has no labelling
+    (every vertex would carry the same a, with 6a = 1 mod 6)."""
+    h = from_edge_list(6, 7, [(1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 7), (2, 3, 4, 5, 6, 7)])
+    assert has_rotation_labelling(h)
+    assert traces._rotation_labelling(h) is not None
+    complete = from_edge_list(6, 7, itertools.combinations(range(1, 8), 6))
+    assert not has_rotation_labelling(complete)
+    assert traces._rotation_labelling(complete) is None
