@@ -9,7 +9,7 @@ eigenvalues.  Each method carries its own error story:
   arithmetic, truncated once a certified tail bound drops below the
   target tolerance (|Tr_d| <= k * rho^d bounds the tail by k times a
   remainder of the series of e^rho); orders certified zero by an
-  m-symmetry labelling are skipped.
+  m-symmetry labelling cost no enumeration.
 * symmetric-formula: for spectra invariant under rotation by
   e^(2*pi*i/m), the exponential sum over each rotation orbit collapses
   to a real trigonometric expression in one representative.
@@ -67,7 +67,7 @@ class EstradaResult:
     guard, in which case error_bound still honestly covers the missing
     tail.  terms_used, for trace-series, is the number of orders summed
     (orders 0..terms_used-1); orders certified zero count as summed,
-    though their traces are never computed.
+    though trace_d returns them without any enumeration.
     """
 
     value: float
@@ -134,12 +134,11 @@ def ee_trace_series(
     order >= D that can be nonzero, which bounds everything left because
     |Tr_d| <= k * rho^d.  rho_hat must dominate the true spectral radius
     (the power-iteration upper end is used when not supplied).  Orders
-    that _order_step proves zero are never computed; they count as
-    summed.  If the trace enumeration becomes infeasible first, the
-    partial sum is returned with converged=False and the same honest tail
-    bound.  When no order the budget admits could bring the tail under
-    target_tol, that happens at the degree bound, without the power
-    iteration.
+    that _order_step proves zero cost trace_d no enumeration.  If the
+    trace enumeration becomes infeasible first, the partial sum is
+    returned with converged=False and the same honest tail bound.  When
+    no order the budget admits could bring the tail under target_tol,
+    that happens at the degree bound, without the power iteration.
     """
     if target_tol <= 0:
         raise ValueError("target_tol must be positive")
@@ -159,28 +158,30 @@ def ee_trace_series(
         else:
             rho_hat = spectral_radius(h).upper
     acc = Fraction(0)
-    d = 0  # every order below d is summed
+    factorial_d = 1  # d!
+    d = 0
     while True:
-        nxt = d + (-d % step)  # the first order >= d that can be nonzero
-        tail = _series_tail(k, rho_hat, nxt)
+        # the tail from the first order >= d that can be nonzero
+        tail = _series_tail(k, rho_hat, d + (-d % step))
         if tail <= target_tol:
             return EstradaResult(
                 float(acc), "trace-series", tail, terms_used=d
             )
-        if nxt > budget.max_degree:
+        if d > budget.max_degree:
             return EstradaResult(
-                float(acc), "trace-series", tail,
-                terms_used=max(d, budget.max_degree + 1), converged=False,
-            )
-        try:
-            tr = trace_d(h, nxt, budget=budget, threads=threads)
-        except FeasibilityError:
-            return EstradaResult(
-                float(acc), "trace-series", tail, terms_used=nxt,
+                float(acc), "trace-series", tail, terms_used=d,
                 converged=False,
             )
-        acc += tr / math.factorial(nxt)
-        d = nxt + 1
+        try:
+            tr = trace_d(h, d, budget=budget, threads=threads)
+        except FeasibilityError:
+            return EstradaResult(
+                float(acc), "trace-series", tail, terms_used=d,
+                converged=False,
+            )
+        acc += tr / factorial_d
+        d += 1
+        factorial_d *= d
 
 
 def _series_tail(k: int, rho: float, d: int) -> float:

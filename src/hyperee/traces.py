@@ -72,9 +72,18 @@ def trace_d(
     1..m-1 vanish; order m equals m^(m-1) (m-1)^(n-m) |E|.  For graphs
     (m = 2) this is tr(A^d), from exact matrix powers whose work,
     n^3 per bit of d, is charged to the selection budget.
+
+    An order the budget admits that m does not divide is 0 without any
+    enumeration when _order_step proves it zero.  The full engine finds
+    no candidate there, so values and refusals are the same either way.
     """
+    budget = budget or Budget()
+    if (d > h.m and d % h.m
+            and _closed_form_work(h.m, h.n, len(h.edges), d) <= budget.max_selections
+            and _order_step(h, d) == h.m):
+        return Fraction(0)
     if h.m == 2 and d >= 0:
-        _check_graph_budget(h.n, d, budget or Budget())
+        _check_graph_budget(h.n, d, budget)
         return Fraction(_graph_trace(h, d))
     return sum(vertex_trace_terms(h, d, budget, threads), Fraction(0))
 
@@ -173,6 +182,7 @@ def _order_step(h: UniformHypergraph, top: int) -> int:
     return h.m if top > h.m and _rotation_labelling(h) is not None else 1
 
 
+@lru_cache(maxsize=8)  # the series asks at every order, auto on both routes
 def _rotation_labelling(h: UniformHypergraph) -> tuple[int, ...] | None:
     """A labelling phi of the vertices by Z_m with sum_{v in e} phi(v) = 1
     (mod m) on every edge e, or None if there is none.

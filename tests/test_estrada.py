@@ -202,22 +202,33 @@ def test_series_tail_is_sharp_past_the_peak():
     assert _series_tail(k, rho, d) < first * math.exp(rho) / 10
 
 
-def test_series_traces_only_orders_that_can_be_nonzero(monkeypatch):
-    """An input with an m-symmetry labelling never has trace_d called at an
-    order m does not divide; the skipped orders count as summed."""
-    orders = []
+def test_series_enumerates_only_orders_that_can_be_nonzero(monkeypatch):
+    """On an input with an m-symmetry labelling, trace_d is asked once for
+    every order summed, but the engine runs only at orders up to m and at
+    the multiples of m; the labelling is found once for the whole series."""
+    asked, enumerated = [], []
 
     def record(h, d, **kwargs):
-        orders.append(d)
+        asked.append(d)
         return trace_d(h, d, **kwargs)
 
+    engine = traces.vertex_trace_terms
+
+    def record_engine(h, d, *args):
+        enumerated.append(d)
+        return engine(h, d, *args)
+
     monkeypatch.setattr(sys.modules["hyperee.estrada"], "trace_d", record)
+    monkeypatch.setattr(traces, "vertex_trace_terms", record_engine)
+    traces._rotation_labelling.cache_clear()
     h = CORPUS["path-3-3"]
     res = ee_trace_series(h, 1e-8, rho_hat=1.5)
-    assert orders == list(range(0, max(orders) + 1, 3))
-    assert res.converged and res.terms_used > max(orders)
+    assert traces._rotation_labelling.cache_info().misses == 1
+    assert res.converged and asked == list(range(res.terms_used))
+    assert enumerated == [d for d in asked if d <= 3 or d % 3 == 0]
     # the tail is taken at the next order that can be nonzero
     nxt = res.terms_used + (-res.terms_used % 3)
+    assert nxt > res.terms_used
     assert res.error_bound == _series_tail(h.eigenvalue_count(), 1.5, nxt)
     assert res.error_bound < _series_tail(h.eigenvalue_count(), 1.5, res.terms_used)
 
@@ -270,7 +281,8 @@ def test_series_on_a_long_path_answers_fast_and_honestly():
     assert time.perf_counter() - start < 1.0
     assert res.method == "trace-series" and not res.converged
     # |Tr_j| <= k 2^j, and Tr_j = 0 unless 3 divides j
-    assert mpmath.mpf(res.error_bound) >= _mp_remainder(h.eigenvalue_count(), 2.0, res.terms_used)
+    nxt = res.terms_used + (-res.terms_used % 3)
+    assert mpmath.mpf(res.error_bound) >= _mp_remainder(h.eigenvalue_count(), 2.0, nxt)
 
 
 # Rotation-symmetric evaluation

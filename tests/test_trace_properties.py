@@ -62,11 +62,13 @@ def test_walk_cross_check_agrees(h, d):
 def test_rotation_labelling_matches_search(h):
     """The solver finds a labelling exactly when a search of all m^n
     labellings does; when it finds one, every order up to 12 that m does
-    not divide has trace 0 in the full engine."""
+    not divide has trace 0 in the per-vertex engine, which never consults
+    the labelling."""
     labels = _rotation_labelling(h)
     assert (labels is not None) == has_rotation_labelling(h)
     if labels is not None:
         assert all(sum(labels[v - 1] for v in e) % h.m == 1 for e in h.edges)
         for d in range(1, 13):
             if d % h.m:
+                assert sum(vertex_trace_terms(h, d)) == 0
                 assert trace_d(h, d) == 0

@@ -249,6 +249,11 @@ def test_complete_three_graph_on_four_vertices_is_not_symmetric():
     assert trace_d(h, 4) == 168
 
 
+def _engine_trace(h, d):
+    """Tr_d from the per-vertex engine, which never consults the labelling."""
+    return sum(vertex_trace_terms(h, d), Fraction(0))
+
+
 def test_certified_zero_orders_match_the_engine():
     """Every corpus input with a labelling has zero traces at the orders
     m does not divide, by the engine that never consults the labelling."""
@@ -256,15 +261,32 @@ def test_certified_zero_orders_match_the_engine():
         if traces._rotation_labelling(h) is not None:
             for d in range(1, 13):
                 if d % h.m:
+                    assert _engine_trace(h, d) == 0, (name, d)
                     assert trace_d(h, d) == 0, (name, d)
 
 
-def test_trace_sequence_equals_per_order_traces():
-    """Skipping certified orders leaves every value of the sequence as
-    trace_d computes it, order by order."""
+def test_certified_orders_keep_the_engine_refusals():
+    """trace_d checks the budget before the labelling, so an order past
+    the budget is refused whether or not it is certified zero."""
+    h = CORPUS["path-3-3"]
+    tight = Budget(max_selections=15 - 1)  # C(4 + 2, 2) = 15 sigma vectors at order 4
+    assert traces._rotation_labelling(h) is not None
+    with pytest.raises(FeasibilityError):
+        trace_d(h, 4, tight)
+    assert trace_d(h, 4, Budget(max_selections=15)) == 0
+
+
+def test_trace_sequence_equals_the_engine():
+    """Skipping certified orders leaves every value of the sequence as an
+    engine that never consults the labelling computes it: the per-vertex
+    engine, and dense integer matrix powers for graphs."""
     for name, h in CORPUS.items():
         ts = trace_sequence(h, 12)
-        assert ts.values == tuple(trace_d(h, d) for d in range(13)), name
+        if h.m == 2:
+            expected = tuple(Fraction(t) for t in matrix_power_sums(h, 12))
+        else:
+            expected = tuple(_engine_trace(h, d) for d in range(13))
+        assert ts.values == expected, name
 
 
 def test_trace_sequence_skips_certified_orders(monkeypatch):
