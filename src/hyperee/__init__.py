@@ -41,7 +41,6 @@ from .spectrum import (
     charpoly_from_traces,
     hyperstar_multiplicities,
     hyperstar_spectrum,
-    is_m_symmetric,
     roots,
     spectrum,
     symmetric_representatives,
@@ -88,7 +87,6 @@ __all__ = [
     "gen_hyperstar",
     "hyperstar_multiplicities",
     "hyperstar_spectrum",
-    "is_m_symmetric",
     "order_m_trace",
     "parse_hypergraph",
     "roots",

@@ -79,6 +79,19 @@ def _default_threads() -> int:
         return 1
 
 
+def _positive(kind):
+    """argparse type: a number of the given kind that must be positive."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", metavar="FILE", help="edge-list file")
     p.add_argument(
@@ -96,17 +109,18 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=_positive(float), default=1e-6,
                    help="target tolerance for series truncation")
-    p.add_argument("--budget-degree", type=int, default=Budget().max_degree,
+    p.add_argument("--budget-degree", type=_positive(int),
+                   default=Budget().max_degree,
                    help="max eigenvalue count for full-spectrum work")
-    p.add_argument("--budget-selections", type=int,
+    p.add_argument("--budget-selections", type=_positive(int),
                    default=Budget().max_selections,
                    help="max predicted enumeration size per trace order "
                         "(graphs: n^3 per bit of the order)")
     p.add_argument("--format", choices=("human", "json", "csv"),
                    default="human", help="output format")
-    p.add_argument("--threads", type=int, default=_default_threads(),
+    p.add_argument("--threads", type=_positive(int), default=_default_threads(),
                    help="worker processes for trace enumeration "
                         "(default: HYPEREE_THREADS or 1)")
 
@@ -136,9 +150,6 @@ def _resolve_input(
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    if args.budget_degree <= 0 or args.budget_selections <= 0:
-        print("error: budget limits must be positive", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
     return Budget(
         max_degree=args.budget_degree,
         max_selections=args.budget_selections,
@@ -164,9 +175,6 @@ def _ee_payload(res: EstradaResult) -> dict:
 
 def cmd_ee(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     h = _resolve_input(args, parser)
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return EXIT_PARSE
     try:
         res = estrada_index(
             h, args.method, tol=args.tol, budget=_budget(args),

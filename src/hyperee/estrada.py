@@ -122,7 +122,6 @@ def ee_from_spectrum(s: Spectrum) -> EstradaResult:
 def ee_trace_series(
     h: UniformHypergraph,
     target_tol: float = 1e-6,
-    rho_hat: float | None = None,
     *,
     budget: Budget | None = None,
     threads: int = 1,
@@ -130,15 +129,15 @@ def ee_trace_series(
     """EE as the exact series sum_d Tr_d / d!, certified truncation.
 
     Orders 0..D-1 are accumulated as exact rationals; truncation happens
-    once _series_tail(k, rho_hat, D') <= target_tol, D' being the first
+    once _series_tail(k, rho, D') <= target_tol, D' being the first
     order >= D that can be nonzero, which bounds everything left because
-    |Tr_d| <= k * rho^d.  rho_hat must dominate the true spectral radius
-    (the power-iteration upper end is used when not supplied).  Orders
-    that _order_step proves zero cost trace_d no enumeration.  If the
-    trace enumeration becomes infeasible first, the partial sum is
-    returned with converged=False and the same honest tail bound.  When
-    no order the budget admits could bring the tail under target_tol,
-    that happens at the degree bound, without the power iteration.
+    |Tr_d| <= k * rho^d; rho is the power-iteration upper end of the
+    spectral radius.  Orders that _order_step proves zero cost trace_d no
+    enumeration.  If the trace enumeration becomes infeasible first, the
+    partial sum is returned with converged=False and the same honest tail
+    bound.  When no order the budget admits could bring the tail under
+    target_tol, that happens at the degree bound, without the power
+    iteration.
     """
     if target_tol <= 0:
         raise ValueError("target_tol must be positive")
@@ -146,23 +145,22 @@ def ee_trace_series(
     k = _checked_count(h.eigenvalue_count())
     top = _max_admitted_order(h, budget)
     step = _order_step(h, top)
-    if rho_hat is None:
-        last = top + 1 + (-(top + 1) % step)
-        # the tail bound grows with rho; before its largest term it is at
-        # least k, and past it, it falls with the order.  So if even a lower
-        # bound on rho leaves it above target_tol at the first order out of
-        # reach, the series stops unconverged whatever the radius, and the
-        # degree bound serves in place of the power iteration
-        if target_tol < k and _series_tail(k, rho_lower_degree(h), last) > target_tol:
-            rho_hat = rho_upper_degree(h)
-        else:
-            rho_hat = spectral_radius(h).upper
+    last = top + 1 + (-(top + 1) % step)
+    # the tail bound grows with rho; before its largest term it is at
+    # least k, and past it, it falls with the order.  So if even a lower
+    # bound on rho leaves it above target_tol at the first order out of
+    # reach, the series stops unconverged whatever the radius, and the
+    # degree bound serves in place of the power iteration
+    if target_tol < k and _series_tail(k, rho_lower_degree(h), last) > target_tol:
+        rho = rho_upper_degree(h)
+    else:
+        rho = spectral_radius(h).upper
     acc = Fraction(0)
     factorial_d = 1  # d!
     d = 0
     while True:
         # the tail from the first order >= d that can be nonzero
-        tail = _series_tail(k, rho_hat, d + (-d % step))
+        tail = _series_tail(k, rho, d + (-d % step))
         if tail <= target_tol:
             return EstradaResult(
                 float(acc), "trace-series", tail, terms_used=d

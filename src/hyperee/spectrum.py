@@ -34,11 +34,8 @@ from .traces import Budget, FeasibilityError, TraceSequence, trace_sequence
 
 Entry = tuple[complex, int]
 
-# Moves the root pipeline makes on a numeric root z: roots within
-# CLUSTER_RTOL * (1 + |z|) of a cluster's centroid are merged into one
-# multiple root, and an imaginary part within SNAP_ATOL * (1 + |z|) is set
-# to 0.  Spectrum.residual does not cover either move yet.
-CLUSTER_RTOL = 1e-7
+# The root pipeline sets an imaginary part within SNAP_ATOL * (1 + |z|) of
+# a numeric root z to 0; Spectrum.residual does not cover that move yet.
 SNAP_ATOL = 1e-8
 # how far, times 1 + |z|, a rotated eigenvalue may sit from its orbit partner
 ROTATION_TOL = 1e-8
@@ -165,20 +162,6 @@ def _symmetrize_conjugates(roots: list[complex]) -> list[complex]:
     return out
 
 
-def _cluster(roots: list[complex]) -> list[tuple[complex, int]]:
-    """Greedy single-linkage merge of numerically coincident roots."""
-    clusters: list[list[complex]] = []
-    for z in sorted(roots, key=lambda w: (w.real, w.imag)):
-        for members in clusters:
-            centroid = sum(members) / len(members)
-            if abs(z - centroid) <= CLUSTER_RTOL * (1.0 + abs(z)):
-                members.append(z)
-                break
-        else:
-            clusters.append([z])
-    return [(sum(ms) / len(ms), len(ms)) for ms in clusters]
-
-
 def roots(cp: CharPoly) -> tuple[tuple[Entry, ...], float]:
     """Eigenvalue multiset of a characteristic polynomial.
 
@@ -206,10 +189,8 @@ def roots(cp: CharPoly) -> tuple[tuple[Entry, ...], float]:
                 residual = max(
                     residual, float(np.max(np.abs(np.polyval(desc, ys))))
                 )
-            zs = [_snap_real(z * (2.0**t)) for z in ys]
-            zs = _symmetrize_conjugates(zs)
-            for centroid, count in _cluster(zs):
-                entries.append((_snap_real(centroid), count * mult))
+            zs = _symmetrize_conjugates([_snap_real(z * (2.0**t)) for z in ys])
+            entries.extend((_snap_real(z), mult) for z in zs)
     total = sum(mult for _, mult in entries)
     if total != cp.k:
         raise RuntimeError(
@@ -337,13 +318,3 @@ def symmetric_representatives(
             item[1] -= count
         remaining = [item for item in remaining if item[1] > 0]
     return n0, reps
-
-
-def is_m_symmetric(s: Spectrum, m: int) -> bool:
-    """Whether the eigenvalue multiset is invariant under rotation by
-    e^(2*pi*i/m)."""
-    try:
-        symmetric_representatives(s, m)
-    except ValueError:
-        return False
-    return True

@@ -15,8 +15,10 @@ import numpy as np
 from .hypergraph import UniformHypergraph, connected_components, degrees
 
 
-# target relative width of the power-iteration enclosure
+# target relative width of the power-iteration enclosure, and the number of
+# iterations per component after which the degree bound is used instead
 RADIUS_RTOL = 1e-10
+RADIUS_MAX_ITER = 10000
 
 
 @dataclass(frozen=True)
@@ -41,17 +43,23 @@ def apply(h: UniformHypergraph, x: Sequence[float]) -> np.ndarray:
     vec = np.asarray(x, dtype=float)
     if vec.shape != (h.n,):
         raise ValueError(f"expected a vector of length {h.n}, got shape {vec.shape}")
-    out = np.zeros(h.n)
-    for e in h.edges:
-        idx = [v - 1 for v in e]
-        prod = float(np.prod(vec[idx]))
+    return _add_edge_products([[v - 1 for v in e] for e in h.edges], vec, np.zeros(h.n))
+
+
+def _add_edge_products(
+    edges: list[list[int]], x: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Add prod_{v in e, v != i} x_v to out[i] for every edge e (0-based
+    index lists) and every i in e, and return out.  When the whole product
+    is 0 (a zero entry, or underflow), each term is the product over the
+    other vertices itself rather than a quotient."""
+    for idx in edges:
+        prod = float(np.prod(x[idx]))
         for pos, i in enumerate(idx):
-            xi = vec[i]
-            if xi != 0.0:
-                out[i] += prod / xi
+            if prod:
+                out[i] += prod / x[i]
             else:
-                others = idx[:pos] + idx[pos + 1 :]
-                out[i] += float(np.prod(vec[others]))
+                out[i] += float(np.prod(x[idx[:pos] + idx[pos + 1 :]]))
     return out
 
 
@@ -68,16 +76,15 @@ def rho_lower_degree(h: UniformHypergraph) -> float:
     return float(max(min(deg[v - 1] for v in comp) for comp in connected_components(h)))
 
 
-def spectral_radius(
-    h: UniformHypergraph, max_iter: int = 10000
-) -> SpectralRadiusEstimate:
+def spectral_radius(h: UniformHypergraph) -> SpectralRadiusEstimate:
     """Spectral radius of the adjacency tensor with a certified enclosure.
 
     Power iteration on the diagonally shifted tensor A + I, run per connected
     component; min/max Collatz-Wielandt ratios at every step enclose rho + 1,
     so the returned interval is valid even before convergence.  If the
-    relative width RADIUS_RTOL is not reached, the upper bound falls back to
-    the degree bound and the method tag says so.
+    relative width RADIUS_RTOL is not reached within RADIUS_MAX_ITER
+    iterations, the upper bound falls back to the degree bound and the
+    method tag says so.
     """
     best_lo = 0.0
     best_hi = 0.0
@@ -87,7 +94,7 @@ def spectral_radius(
         comp_edges = [e for e in h.edges if e[0] in comp]
         if not comp_edges:
             continue  # isolated vertex: contributes rho = 0
-        lo, hi, it, ok = _component_enclosure(h.m, comp, comp_edges, max_iter)
+        lo, hi, it, ok = _component_enclosure(h.m, comp, comp_edges)
         iters += it
         converged = converged and ok
         best_lo = max(best_lo, lo)
@@ -101,7 +108,6 @@ def _component_enclosure(
     m: int,
     comp: tuple[int, ...],
     comp_edges: list[tuple[int, ...]],
-    max_iter: int,
 ) -> tuple[float, float, int, bool]:
     local = {v: i for i, v in enumerate(comp)}
     edges_idx = [[local[v] for v in e] for e in comp_edges]
@@ -109,13 +115,9 @@ def _component_enclosure(
     x = np.ones(size)
     power = m - 1
     lo_best, hi_best = 0.0, float("inf")
-    for it in range(1, max_iter + 1):
+    for it in range(1, RADIUS_MAX_ITER + 1):
         xp = x**power
-        y = xp.copy()  # the +I shift
-        for idx in edges_idx:
-            prod = float(np.prod(x[idx]))
-            for pos, i in enumerate(idx):
-                y[i] += prod / x[i]
+        y = _add_edge_products(edges_idx, x, xp.copy())  # xp: the +I shift
         ratios = y / xp
         lo_best = max(lo_best, float(ratios.min()) - 1.0)
         hi_best = min(hi_best, float(ratios.max()) - 1.0)
@@ -123,4 +125,4 @@ def _component_enclosure(
             return max(lo_best, 0.0), hi_best, it, True
         x = y ** (1.0 / power)
         x /= x.max()
-    return max(lo_best, 0.0), hi_best, max_iter, False
+    return max(lo_best, 0.0), hi_best, RADIUS_MAX_ITER, False

@@ -34,8 +34,6 @@ import numpy as np
 
 from .hypergraph import UniformHypergraph
 
-ArcMultiset = tuple[tuple[int, int, int], ...]  # ((tail, head, multiplicity), ...)
-
 
 class FeasibilityError(RuntimeError):
     """Raised when a computation would exceed its enumeration budget."""
@@ -334,15 +332,10 @@ def vertex_trace_terms(
     d: int,
     budget: Budget | None = None,
     threads: int = 1,
-    cross_check: bool = False,
 ) -> tuple[Fraction, ...]:
     """All n per-vertex trace shares of order d, exactly; entry j-1 is
     vertex j's share.  The shares sum to trace_d, and the order-0 share is
     (m-1)^(n-1) for every vertex.
-
-    With cross_check=True, every walk count obtained from the determinant
-    route is re-derived by direct memoised walk enumeration whenever the arc
-    multiset has at most 16 arcs; a mismatch raises RuntimeError.
     """
     if d < 0:
         raise ValueError("trace order d must be >= 0")
@@ -360,7 +353,7 @@ def vertex_trace_terms(
 
     threads = max(1, threads)
     if threads == 1 or len(candidates) < 2 * threads:
-        acc = _accumulate(ctx, candidates, cross_check)
+        acc = _accumulate(ctx, candidates)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only workers need it
 
@@ -369,7 +362,7 @@ def vertex_trace_terms(
             partials = list(
                 pool.map(
                     _accumulate_worker,
-                    [(h.m, h.n, h.edges, chunk, cross_check) for chunk in chunks],
+                    [(h.m, h.n, h.edges, chunk) for chunk in chunks],
                 )
             )
         acc = [sum(col, Fraction(0)) for col in zip(*partials)]
@@ -476,17 +469,16 @@ def _active_connected(edges: list[tuple[int, ...]], sigma: list[int]) -> bool:
 
 
 def _accumulate_worker(args) -> list[Fraction]:
-    m, n, edges, chunk, cross_check = args
+    m, n, edges, chunk = args
     from .hypergraph import UniformHypergraph
 
     ctx = _EnumerationContext(UniformHypergraph(m, n, edges))
-    return _accumulate(ctx, chunk, cross_check)
+    return _accumulate(ctx, chunk)
 
 
 def _accumulate(
     ctx: _EnumerationContext,
     candidates: list[tuple[int, ...]],
-    cross_check: bool,
 ) -> list[Fraction]:
     """Sum the per-vertex contributions of every pick configuration.
 
@@ -519,7 +511,7 @@ def _accumulate(
                     s[v] += se
         for v in range(n):
             s[v] //= m
-        table_sum = _sum_over_tables(ctx, sigma, s, cross_check)
+        table_sum = _sum_over_tables(ctx, sigma, s)
         if table_sum == 0:
             continue
         den = 1
@@ -543,7 +535,6 @@ def _sum_over_tables(
     ctx: _EnumerationContext,
     sigma: tuple[int, ...],
     s: list[int],
-    cross_check: bool,
 ) -> int:
     """Sum of trees(x) * prod_e sigma_e! / prod x! over all splits x
     consistent with sigma and s, in integers.
@@ -583,10 +574,7 @@ def _sum_over_tables(
     def edge_rec(pos: int, weight: int) -> None:
         nonlocal total
         if pos == len(active):
-            trees = _det_bareiss([row[1:] for row in lap[1:]])
-            if cross_check:
-                _verify_leaf(support, lap, trees)
-            total += weight * trees
+            total += weight * _det_bareiss([row[1:] for row in lap[1:]])
             return
         e_idx = active[pos]
         owed = sum(remaining[v] for v in edges[e_idx])
@@ -619,23 +607,6 @@ def _sum_over_tables(
     return total
 
 
-def _verify_leaf(support: list[int], lap: list[list[int]], trees: int) -> None:
-    """Rebuild a split's arc multiset from its Laplacian and check the
-    determinant route against direct walk enumeration (up to 16 arcs)."""
-    sig: ArcMultiset = tuple(
-        (support[i], support[j], -c)
-        for i, row in enumerate(lap)
-        for j, c in enumerate(row)
-        if i != j and c
-    )
-    if sum(c for _, _, c in sig) > 16:
-        return
-    cycles = trees
-    for i in range(len(support)):
-        cycles *= math.factorial(lap[i][i] - 1)
-    _verify_by_walks(sig, cycles)
-
-
 def _det_bareiss(a: list[list[int]]) -> int:
     """Exact integer determinant, fraction-free Gaussian elimination; the
     rows of a are overwritten."""
@@ -659,46 +630,3 @@ def _det_bareiss(a: list[list[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[size - 1][size - 1]
-
-
-def _verify_by_walks(sig: ArcMultiset, cycles: int) -> None:
-    """Independent route: enumerate closed walks over the arc multiset and
-    compare with the determinant-based count."""
-    arcs = {(u, v): c for u, v, c in sig}
-    outdeg: dict[int, int] = {}
-    parallel = 1
-    for (u, _v), c in arcs.items():
-        outdeg[u] = outdeg.get(u, 0) + c
-        parallel *= math.factorial(c)
-    start = min(outdeg)
-    walks = _walks_based_at(sig, start)
-    if walks * parallel != outdeg[start] * cycles:
-        raise RuntimeError(
-            f"Eulerian count mismatch on {sig}: walks={walks}, cycle classes={cycles}"
-        )
-
-
-def _walks_based_at(sig: ArcMultiset, start: int) -> int:
-    """Closed walks from `start` using the arc multiset exactly (arcs with the
-    same endpoints indistinct), by memoised consumption."""
-    arc_list = [(u, v) for u, v, _ in sig]
-    counts = tuple(c for _, _, c in sig)
-    heads_from: dict[int, list[int]] = {}
-    for i, (u, _v) in enumerate(arc_list):
-        heads_from.setdefault(u, []).append(i)
-
-    @lru_cache(maxsize=None)
-    def go(current: int, remaining: tuple[int, ...]) -> int:
-        if not any(remaining):
-            return 1 if current == start else 0
-        total = 0
-        for i in heads_from.get(current, []):
-            if remaining[i] > 0:
-                nxt = list(remaining)
-                nxt[i] -= 1
-                total += go(arc_list[i][1], tuple(nxt))
-        return total
-
-    result = go(start, counts)
-    go.cache_clear()
-    return result

@@ -1,9 +1,10 @@
 """Independent reference implementations used to validate the package.
 
 Everything here deliberately avoids the library's own computational
-paths: ordinary graphs go through dense integer matrices, hyperstars
-through their known eigenvalue families, the rotation-orbit sums of
-m = 3 and m = 4 through their trigonometric closed forms, and the
+paths: ordinary graphs go through dense integer matrices, traces of any
+uniformity through the closed-walk trace formula evaluated by brute force,
+hyperstars through their known eigenvalue families, the rotation-orbit
+sums of m = 3 and m = 4 through their trigonometric closed forms, and the
 m-symmetry labelling through a search of every labelling, so a bug in the
 trace engine, the root pipeline, the orbit formula or the labelling solver
 cannot hide in its own oracle.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +41,91 @@ def matrix_power_sums(h: UniformHypergraph, max_d: int) -> list[int]:
         out.append(int(np.trace(power)))
         power = power @ a
     return out
+
+
+def closed_walk_trace_terms(h: UniformHypergraph, d: int) -> tuple[Fraction, ...]:
+    """The n per-vertex shares of Tr_d by the closed-walk trace formula
+    (Shao, Qi & Hu, Linear Multilinear Algebra 63 (2015)), by brute force.
+
+    A pick table x gives every vertex u and edge e containing u a count
+    x[u,e] >= 0, with d picks in all; each pick adds the arcs u -> w for
+    the m-1 other vertices w of e.  With s_u = sum_e x[u,e], a table whose
+    arcs balance at every vertex adds
+
+        (m-1)^n s_v * prod_u s_u! / prod x[u,e]! * C(x) / prod_u ((m-1) s_u)!
+
+    to vertex v's share, C(x) being the number of Eulerian circuits of its
+    arc multiset with parallel arcs told apart: W prod_arcs c! / outdeg(w),
+    W the closed walks from the smallest active vertex w that use every arc
+    once, parallel arcs alike.  Every table is visited, as a composition of
+    d over the slots (u, e), and every walk is counted one step at a time.
+    """
+    m, n = h.m, h.n
+    if d == 0:
+        return (Fraction((m - 1) ** (n - 1)),) * n
+    slots = [(u - 1, e) for e in h.edges for u in e]
+    shares = [Fraction(0)] * n
+    for x in _compositions(d, len(slots)):
+        s, indeg, arcs = [0] * n, [0] * n, {}
+        for (u, e), c in zip(slots, x):
+            if c:
+                s[u] += c
+                for w in e:
+                    if w - 1 != u:
+                        arcs[u, w - 1] = arcs.get((u, w - 1), 0) + c
+                        indeg[w - 1] += c
+        if any(indeg[v] != (m - 1) * s[v] for v in range(n)):
+            continue
+        start = min(v for v in range(n) if s[v])
+        circuits = Fraction(
+            _closed_walks(arcs, start) * math.prod(map(math.factorial, arcs.values())),
+            (m - 1) * s[start],
+        )
+        weight = (
+            circuits
+            * math.prod(map(math.factorial, s))
+            / math.prod(map(math.factorial, x))
+            / math.prod(math.factorial((m - 1) * sv) for sv in s)
+        )
+        for v in range(n):
+            shares[v] += s[v] * weight
+    return tuple((m - 1) ** n * share for share in shares)
+
+
+def _compositions(total: int, parts: int):
+    """Every list of parts nonnegative integers summing to total, by the
+    positions of parts - 1 bars among total + parts - 1 places."""
+    if parts == 0:
+        return
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        x, prev = [], -1
+        for b in (*bars, total + parts - 1):
+            x.append(b - prev - 1)
+            prev = b
+        yield x
+
+
+def _closed_walks(arcs: dict[tuple[int, int], int], start: int) -> int:
+    """Closed walks from start that use arc (u, w) exactly arcs[u, w] times,
+    parallel arcs alike, counted by memoised consumption of the arcs."""
+    keys = list(arcs)
+    leaving: dict[int, list[int]] = {}
+    for i, (u, _w) in enumerate(keys):
+        leaving.setdefault(u, []).append(i)
+
+    @lru_cache(maxsize=None)
+    def walks(current: int, remaining: tuple[int, ...]) -> int:
+        if not any(remaining):
+            return int(current == start)
+        total = 0
+        for i in leaving.get(current, ()):
+            if remaining[i]:
+                rest = list(remaining)
+                rest[i] -= 1
+                total += walks(keys[i][1], tuple(rest))
+        return total
+
+    return walks(start, tuple(arcs.values()))
 
 
 def has_rotation_labelling(h: UniformHypergraph, modulus: int | None = None) -> bool:

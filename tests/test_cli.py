@@ -81,6 +81,23 @@ def test_ee_rejects_nonpositive_tol(capsys):
 
 @pytest.mark.parametrize(
     "argv",
+    [("table1", "--tol", "0"), ("table1", "--tol", "-1"),
+     ("traces", "--star", "3", "1", "--max-d", "3", "--threads", "0"),
+     ("ee", "--star", "3", "1", "--threads", "-4"),
+     ("bounds", "--star", "3", "1", "--budget-degree", "0"),
+     ("spectrum", "--star", "3", "1", "--budget-selections", "-1")],
+)
+def test_nonpositive_numbers_are_parse_errors(capsys, argv):
+    """Every subcommand refuses a tolerance, thread count or budget that is
+    not positive when it parses its arguments, without a traceback."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "must be positive" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
     [("ee", "--star", "3", "600"), ("ee", "--empty", "3", "2000"),
      ("bounds", "--empty", "3", "2000")],
 )

@@ -17,7 +17,7 @@ from _oracles import (
     orbit_sum_m4,
 )
 from conftest import CORPUS
-from hyperee import traces
+from hyperee import tensor, traces
 from hyperee._poly import ConvergenceError
 from hyperee.estrada import (
     bounds_basic,
@@ -37,7 +37,7 @@ from hyperee.spectrum import (
     spectrum,
     symmetric_representatives,
 )
-from hyperee.tensor import spectral_radius
+from hyperee.tensor import SpectralRadiusEstimate, spectral_radius
 from hyperee.traces import Budget, FeasibilityError, trace_d
 
 # Closed forms
@@ -139,12 +139,6 @@ def test_series_tail_is_honest():
     assert coarse.terms_used < fine.terms_used
 
 
-def test_series_accepts_explicit_radius_majorant():
-    h = CORPUS["tight-pair-3"]
-    res = ee_trace_series(h, 1e-6, rho_hat=2.0)
-    assert res.value == pytest.approx(ee_trace_series(h, 1e-6).value, abs=1e-5)
-
-
 def test_series_partial_when_budget_starves_selection():
     h = CORPUS["tight-pair-3"]
     res = ee_trace_series(h, 1e-6, budget=Budget(max_selections=100))
@@ -220,9 +214,13 @@ def test_series_enumerates_only_orders_that_can_be_nonzero(monkeypatch):
 
     monkeypatch.setattr(sys.modules["hyperee.estrada"], "trace_d", record)
     monkeypatch.setattr(traces, "vertex_trace_terms", record_engine)
+    monkeypatch.setattr(
+        sys.modules["hyperee.estrada"], "spectral_radius",
+        lambda h: SpectralRadiusEstimate(1.5, 1.5, 0, "power-iteration"),
+    )
     traces._rotation_labelling.cache_clear()
     h = CORPUS["path-3-3"]
-    res = ee_trace_series(h, 1e-8, rho_hat=1.5)
+    res = ee_trace_series(h, 1e-8)
     assert traces._rotation_labelling.cache_info().misses == 1
     assert res.converged and asked == list(range(res.terms_used))
     assert enumerated == [d for d in asked if d <= 3 or d % 3 == 0]
@@ -454,11 +452,13 @@ def test_bounds_basic_sandwich_on_graph():
     assert lower < ee < upper
 
 
-def test_bounds_use_radius_upper_end():
+def test_bounds_use_radius_upper_end(monkeypatch):
     """Bounds evaluated at a degraded enclosure stay valid, just looser."""
     h = gen_hyperstar(3, 4)
     sharp = bounds_refined(spectrum(h), h)
-    loose = bounds_refined(spectrum(h), h, rho=spectral_radius(h, max_iter=1))
+    monkeypatch.setattr(tensor, "RADIUS_MAX_ITER", 1)
+    loose = bounds_refined(spectrum(h), h, rho=spectral_radius(h))
+    assert loose.rho_used.method == "degree-bound"
     ee = ee_hyperstar(3, 4).value
     assert sharp.upper_basic <= loose.upper_basic
     assert ee <= sharp.upper_basic <= loose.upper_basic

@@ -18,7 +18,6 @@ from hyperee.spectrum import (
     charpoly_from_traces,
     hyperstar_multiplicities,
     hyperstar_spectrum,
-    is_m_symmetric,
     roots,
     spectrum,
     symmetric_representatives,
@@ -211,26 +210,31 @@ def test_modulus_sq_sum():
 # Rotation symmetry
 
 
+def _orbits_cover(s: Spectrum, m: int) -> bool:
+    """symmetric_representatives accepts s, and its orbits cover all k."""
+    n0, reps = symmetric_representatives(s, m)
+    return n0 + m * sum(mult for _, _, mult in reps) == s.k
+
+
 def test_star_spectra_are_m_symmetric():
     for m, q in [(3, 2), (4, 2), (2, 5)]:
-        assert is_m_symmetric(hyperstar_spectrum(m, q), m)
+        assert _orbits_cover(hyperstar_spectrum(m, q), m)
 
 
 def test_tight_pair_spectrum_is_3_symmetric():
-    assert is_m_symmetric(spectrum(CORPUS["tight-pair-3"]), 3)
+    assert _orbits_cover(spectrum(CORPUS["tight-pair-3"]), 3)
 
 
 def test_graph_spectrum_not_3_symmetric():
-    assert not is_m_symmetric(hyperstar_spectrum(2, 4), 3)
+    with pytest.raises(ValueError, match="not 3-fold"):
+        symmetric_representatives(hyperstar_spectrum(2, 4), 3)
 
 
 def test_triangle_not_2_symmetric():
     """C3 has spectrum {2, -1, -1}, which no rotation pairs up."""
     h = from_edge_list(2, 3, [(1, 2), (1, 3), (2, 3)])
-    s = spectrum(h)
-    assert not is_m_symmetric(s, 2)
     with pytest.raises(ValueError, match="not 2-fold"):
-        symmetric_representatives(s, 2)
+        symmetric_representatives(spectrum(h), 2)
 
 
 def test_symmetric_representatives_star():

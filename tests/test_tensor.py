@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import CORPUS
+from hyperee import tensor
 from hyperee.hypergraph import from_edge_list, gen_empty, gen_hyperpath, gen_hyperstar
 from hyperee.tensor import apply, rho_lower_degree, rho_upper_degree, spectral_radius
 
@@ -25,6 +26,13 @@ def test_apply_handles_zero_entries():
     h = gen_hyperpath(3, 1)
     out = apply(h, [0.0, 1.0, 1.0])
     assert out == pytest.approx([1.0, 0.0, 0.0])
+
+
+def test_apply_survives_an_underflowing_edge_product():
+    """The edge product 1e-400 underflows to 0, but the products over the
+    other vertices do not."""
+    out = apply(gen_hyperpath(3, 1), [1e-200, 1e-200, 1.0])
+    assert list(out) == [1e-200, 1e-200, 0.0]
 
 
 def test_apply_two_uniform_is_matrix_vector():
@@ -104,9 +112,10 @@ def test_component_min_degree_is_a_lower_bound():
     assert rho_lower_degree(disjoint) == 2.0  # the triangle, not the edges
 
 
-def test_degree_bound_fallback_when_starved():
+def test_degree_bound_fallback_when_starved(monkeypatch):
     """With one iteration allowed, the upper end falls back to max degree."""
-    est = spectral_radius(gen_hyperstar(3, 4), max_iter=1)
+    monkeypatch.setattr(tensor, "RADIUS_MAX_ITER", 1)
+    est = spectral_radius(gen_hyperstar(3, 4))
     assert est.method == "degree-bound"
     assert est.upper == 4.0
     assert est.lower <= 4 ** (1.0 / 3.0)

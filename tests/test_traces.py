@@ -7,9 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import has_rotation_labelling, matrix_power_sums, star_trace
+from _oracles import (
+    closed_walk_trace_terms,
+    has_rotation_labelling,
+    matrix_power_sums,
+    star_trace,
+)
 from conftest import CORPUS
 from hyperee import traces
+from hyperee.estrada import order_m_trace
 from hyperee.hypergraph import from_edge_list, gen_empty, gen_hyperpath, gen_hyperstar
 from hyperee.traces import (
     Budget,
@@ -152,17 +158,35 @@ def test_vertex_terms_follow_symmetry():
     assert len(leaf_shares) == 1
 
 
-# Engine internals exercised through the public surface
+# Brute-force closed-walk oracle
+
+
+def test_closed_walk_oracle_matches_closed_forms():
+    """The brute-force closed-walk oracle reproduces the hyperstar power
+    sums, the order-m closed form, the order-0 shares and the pinned
+    sequences as far as brute force reaches, before it checks the engine."""
+    for m, q, dmax in [(3, 2, 6), (4, 1, 8), (2, 3, 6)]:
+        for d in range(dmax + 1):
+            assert sum(closed_walk_trace_terms(gen_hyperstar(m, q), d)) == star_trace(m, q, d)
+    for name, h in CORPUS.items():
+        assert closed_walk_trace_terms(h, 0) == (Fraction((h.m - 1) ** (h.n - 1)),) * h.n
+        assert sum(closed_walk_trace_terms(h, h.m)) == order_m_trace(h), name
+    for name, dmax in [("tight-pair-3", 12), ("rand-4-a", 8), ("rand-3-b", 6)]:
+        want = PINNED_SEQUENCES[name][: dmax + 1]
+        got = [sum(closed_walk_trace_terms(CORPUS[name], d)) for d in range(dmax + 1)]
+        assert got == want, name
 
 
 def test_internal_walk_cross_check():
-    """cross_check re-derives every walk count independently."""
+    """Every per-vertex share equals the closed-walk oracle's, which shares
+    no code with the engine."""
     for name in ["path-3-2", "tight-pair-3", "rand-2-a"]:
         h = CORPUS[name]
         for d in range(h.m, 2 * h.m + 1):
-            direct = vertex_trace_terms(h, d)
-            checked = vertex_trace_terms(h, d, cross_check=True)
-            assert direct == checked, (name, d)
+            assert vertex_trace_terms(h, d) == closed_walk_trace_terms(h, d), (name, d)
+
+
+# Engine internals exercised through the public surface
 
 
 def test_threads_do_not_change_results():
