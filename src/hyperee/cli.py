@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -72,13 +71,6 @@ def _fraction_json(v: Fraction) -> int | str:
     return int(v) if v.denominator == 1 else str(v)
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HYPEREE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _positive(kind):
     """argparse type: a number of the given kind that must be positive."""
 
@@ -120,9 +112,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                         "(graphs: n^3 per bit of the order)")
     p.add_argument("--format", choices=("human", "json", "csv"),
                    default="human", help="output format")
-    p.add_argument("--threads", type=_positive(int), default=_default_threads(),
-                   help="worker processes for trace enumeration "
-                        "(default: HYPEREE_THREADS or 1)")
 
 
 def _resolve_input(
@@ -176,10 +165,7 @@ def _ee_payload(res: EstradaResult) -> dict:
 def cmd_ee(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     h = _resolve_input(args, parser)
     try:
-        res = estrada_index(
-            h, args.method, tol=args.tol, budget=_budget(args),
-            threads=args.threads,
-        )
+        res = estrada_index(h, args.method, tol=args.tol, budget=_budget(args))
     except ValueError as exc:  # the method does not apply to this input
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -207,7 +193,7 @@ def cmd_traces(
     if args.max_d < 0:
         print("error: --max-d must be nonnegative", file=sys.stderr)
         return EXIT_PARSE
-    ts = trace_sequence(h, args.max_d, budget=_budget(args), threads=args.threads)
+    ts = trace_sequence(h, args.max_d, budget=_budget(args))
     if args.format == "json":
         payload = {
             "m": ts.m,
@@ -233,7 +219,7 @@ def cmd_spectrum(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
     h = _resolve_input(args, parser)
-    s = spectrum(h, budget=_budget(args), threads=args.threads)
+    s = spectrum(h, budget=_budget(args))
     if args.format == "json":
         payload = {
             "k": s.k,
@@ -284,10 +270,10 @@ def cmd_bounds(
     s = None
     if not h.edges or h.eigenvalue_count() <= budget.max_degree:
         try:
-            s = spectrum(h, budget=budget, threads=args.threads)
+            s = spectrum(h, budget=budget)
         except FeasibilityError:
             s = None
-    rep = bounds_refined(s, h, budget=budget, threads=args.threads)
+    rep = bounds_refined(s, h, budget=budget)
     rho = rep.rho_used
     payload = _bounds_payload(rep)
     if args.format == "json":
@@ -328,9 +314,7 @@ def cmd_table1(
     for label, kind, edges, reference, tol_kind, tol in TABLE_ROWS:
         h = gen_hyperpath(3, edges) if kind == "path" else gen_hyperstar(3, edges)
         try:
-            res = estrada_index(
-                h, "auto", tol=args.tol, budget=budget, threads=args.threads
-            )
+            res = estrada_index(h, "auto", tol=args.tol, budget=budget)
             if not res.converged:
                 raise FeasibilityError(
                     f"series stopped by the feasibility guard after "

@@ -124,7 +124,6 @@ def ee_trace_series(
     target_tol: float = 1e-6,
     *,
     budget: Budget | None = None,
-    threads: int = 1,
 ) -> EstradaResult:
     """EE as the exact series sum_d Tr_d / d!, certified truncation.
 
@@ -171,7 +170,7 @@ def ee_trace_series(
                 converged=False,
             )
         try:
-            tr = trace_d(h, d, budget=budget, threads=threads)
+            tr = trace_d(h, d, budget=budget)
         except FeasibilityError:
             return EstradaResult(
                 float(acc), "trace-series", tail, terms_used=d,
@@ -319,7 +318,6 @@ def bounds_refined(
     rho: SpectralRadiusEstimate | None = None,
     *,
     budget: Budget | None = None,
-    threads: int = 1,
 ) -> BoundsReport:
     """Evaluate the full family of EE bounds for h.
 
@@ -344,7 +342,7 @@ def bounds_refined(
     upper_moment = upper_moment_adjusted = r_val = None
     if s is not None:
         alpha_sq = sum(mult * z.real**2 for z, mult in s.entries)
-        tr2 = float(trace_d(h, 2, budget=budget, threads=threads))
+        tr2 = float(trace_d(h, 2, budget=budget))
         r_val = max(2.0 * alpha_sq - tr2, 0.0)
         sq = math.sqrt(r_val)
         upper_moment = k - 1 + _safe_exp(sq)
@@ -380,6 +378,10 @@ def estrada_index(
     series.  Explicit methods: "star", "spectrum", "series",
     "symmetric" (spectrum + rotation-orbit formula).  An eigenvalue
     count beyond float range is refused with FeasibilityError.
+
+    threads is accepted and ignored: every computation runs in the
+    calling process.  It goes once the benchmark harness, which passes
+    it on every call, stops passing it.
     """
     budget = budget or Budget()
     _checked_count(h.eigenvalue_count())
@@ -389,23 +391,21 @@ def estrada_index(
             return ee_hyperstar(h.m, star_q)
         if not h.edges or h.eigenvalue_count() <= budget.max_degree:
             try:
-                return ee_from_spectrum(
-                    spectrum(h, budget=budget, threads=threads)
-                )
+                return ee_from_spectrum(spectrum(h, budget=budget))
             except FeasibilityError:
                 pass  # the series needs far fewer trace orders than k
-        return ee_trace_series(h, tol, budget=budget, threads=threads)
+        return ee_trace_series(h, tol, budget=budget)
     if method == "star":
         star_q = detect_hyperstar(h)
         if star_q is None:
             raise ValueError("input is not a hyperstar")
         return ee_hyperstar(h.m, star_q)
     if method == "spectrum":
-        return ee_from_spectrum(spectrum(h, budget=budget, threads=threads))
+        return ee_from_spectrum(spectrum(h, budget=budget))
     if method == "series":
-        return ee_trace_series(h, tol, budget=budget, threads=threads)
+        return ee_trace_series(h, tol, budget=budget)
     if method == "symmetric":
-        s = spectrum(h, budget=budget, threads=threads)
+        s = spectrum(h, budget=budget)
         n0, reps = symmetric_representatives(s, h.m)
         return ee_symmetric(reps, n0, h.m, k=s.k)
     raise ValueError(f"unknown method: {method!r}")

@@ -241,7 +241,6 @@ def hyperstar_spectrum(m: int, q: int) -> Spectrum:
 def spectrum(
     h: UniformHypergraph,
     budget: Budget | None = None,
-    threads: int = 1,
 ) -> Spectrum:
     """Full eigenvalue multiset of h's adjacency tensor.
 
@@ -263,7 +262,7 @@ def spectrum(
             f"eigenvalue count {k} exceeds the characteristic-polynomial "
             f"budget ({budget.max_degree}); use the trace-series method"
         )
-    ts = trace_sequence(h, k, budget=budget, threads=threads)
+    ts = trace_sequence(h, k, budget=budget)
     cp = charpoly_from_traces(ts)
     try:
         entries, residual = roots(cp)

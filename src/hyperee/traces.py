@@ -62,7 +62,6 @@ def trace_d(
     h: UniformHypergraph,
     d: int,
     budget: Budget | None = None,
-    threads: int = 1,
 ) -> Fraction:
     """Exact d-th order trace of the adjacency tensor.
 
@@ -83,7 +82,7 @@ def trace_d(
     if h.m == 2 and d >= 0:
         _check_graph_budget(h.n, d, budget)
         return Fraction(_graph_trace(h, d))
-    return sum(vertex_trace_terms(h, d, budget, threads), Fraction(0))
+    return sum(vertex_trace_terms(h, d, budget), Fraction(0))
 
 
 def _closed_form_work(m: int, n: int, q: int, d: int) -> int:
@@ -144,7 +143,6 @@ def trace_sequence(
     h: UniformHypergraph,
     max_d: int,
     budget: Budget | None = None,
-    threads: int = 1,
 ) -> TraceSequence:
     """Traces of all orders 0..max_d (the spectral power sums, by order).
 
@@ -169,7 +167,7 @@ def trace_sequence(
             _sigma_candidates(ctx, d, budget)
     values = [Fraction(0)] * (max_d + 1)
     for d in orders:
-        values[d] = trace_d(h, d, budget, threads)
+        values[d] = trace_d(h, d, budget)
     return TraceSequence(h.m, h.n, tuple(values))
 
 
@@ -331,7 +329,6 @@ def vertex_trace_terms(
     h: UniformHypergraph,
     d: int,
     budget: Budget | None = None,
-    threads: int = 1,
 ) -> tuple[Fraction, ...]:
     """All n per-vertex trace shares of order d, exactly; entry j-1 is
     vertex j's share.  The shares sum to trace_d, and the order-0 share is
@@ -351,21 +348,7 @@ def vertex_trace_terms(
     if not candidates:
         return tuple([Fraction(0)] * h.n)
 
-    threads = max(1, threads)
-    if threads == 1 or len(candidates) < 2 * threads:
-        acc = _accumulate(ctx, candidates)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only workers need it
-
-        chunks = [candidates[i::threads] for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            partials = list(
-                pool.map(
-                    _accumulate_worker,
-                    [(h.m, h.n, h.edges, chunk) for chunk in chunks],
-                )
-            )
-        acc = [sum(col, Fraction(0)) for col in zip(*partials)]
+    acc = _accumulate(ctx, candidates)
     scale = (h.m - 1) ** h.n
     return tuple(a * scale for a in acc)
 
@@ -466,14 +449,6 @@ def _active_connected(edges: list[tuple[int, ...]], sigma: list[int]) -> bool:
             parent[find(v)] = r
     roots = {find(v) for v in parent}
     return len(roots) == 1
-
-
-def _accumulate_worker(args) -> list[Fraction]:
-    m, n, edges, chunk = args
-    from .hypergraph import UniformHypergraph
-
-    ctx = _EnumerationContext(UniformHypergraph(m, n, edges))
-    return _accumulate(ctx, chunk)
 
 
 def _accumulate(
@@ -608,25 +583,29 @@ def _sum_over_tables(
 
 
 def _det_bareiss(a: list[list[int]]) -> int:
-    """Exact integer determinant, fraction-free Gaussian elimination; the
-    rows of a are overwritten."""
+    """Exact determinant of a reduced out-degree Laplacian by fraction-free
+    Gaussian elimination; the rows of a are overwritten.
+
+    a is a Z-matrix (off-diagonal entries <= 0) whose rows sum to >= 0:
+    the full Laplacian's rows sum to 0, and each row loses only its entry
+    <= 0 in the removed column.  Each step replaces the trailing block by
+    a positive multiple of its Schur complement at a pivot p > 0, whose
+    entries a_ij - a_ik a_kj / p are no larger than a_ij, and whose row
+    sums r_i - a_ik r_k / p are no smaller than r_i; so every trailing
+    block keeps both properties.  A zero pivot then heads a row whose
+    entries are all <= 0 and sum to >= 0, a zero row, and the
+    determinant is 0; no row swap is ever needed.
+    """
     size = len(a)
     if size == 0:
         return 1
-    sign = 1
     prev = 1
     for k in range(size - 1):
         if a[k][k] == 0:
-            for i in range(k + 1, size):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            return 0
         for i in range(k + 1, size):
             for j in range(k + 1, size):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return sign * a[size - 1][size - 1]
+    return a[size - 1][size - 1]

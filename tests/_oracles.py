@@ -5,7 +5,8 @@ paths: ordinary graphs go through dense integer matrices, traces of any
 uniformity through the closed-walk trace formula evaluated by brute force,
 hyperstars through their known eigenvalue families, the rotation-orbit
 sums of m = 3 and m = 4 through their trigonometric closed forms, and the
-m-symmetry labelling through a search of every labelling, so a bug in the
+m-symmetry labelling through a search of every labelling, and
+determinants through elimination over the rationals, so a bug in the
 trace engine, the root pipeline, the orbit formula or the labelling solver
 cannot hide in its own oracle.
 """
@@ -136,6 +137,25 @@ def has_rotation_labelling(h: UniformHypergraph, modulus: int | None = None) -> 
         all(sum(phi[v - 1] for v in e) % modulus == 1 for e in h.edges)
         for phi in itertools.product(range(modulus), repeat=h.n)
     )
+
+
+def fraction_determinant(a: list[list[int]]) -> Fraction:
+    """Determinant of any square matrix by Gaussian elimination over the
+    rationals, swapping in a nonzero pivot wherever one is needed."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[k])]
+    return det
 
 
 def matrix_estrada(h: UniformHypergraph) -> float:

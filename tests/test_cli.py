@@ -6,11 +6,15 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import hyperee
+from conftest import CORPUS
 from hyperee.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_TABLE, main
 
 
@@ -73,6 +77,14 @@ def test_ee_star_method_on_non_star(capsys):
     assert "not a hyperstar" in err
 
 
+def test_threads_flag_is_rejected(capsys):
+    """The trace engine runs in one process; --threads is not an option."""
+    code, out, err = run_cli(capsys, "ee", "--star", "3", "1", "--threads", "2")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "--threads" in err and "Traceback" not in err
+
+
 def test_ee_rejects_nonpositive_tol(capsys):
     code, _, err = run_cli(capsys, "ee", "--star", "3", "1", "--tol", "0")
     assert code == EXIT_PARSE
@@ -82,14 +94,14 @@ def test_ee_rejects_nonpositive_tol(capsys):
 @pytest.mark.parametrize(
     "argv",
     [("table1", "--tol", "0"), ("table1", "--tol", "-1"),
-     ("traces", "--star", "3", "1", "--max-d", "3", "--threads", "0"),
-     ("ee", "--star", "3", "1", "--threads", "-4"),
+     ("traces", "--star", "3", "1", "--max-d", "3", "--budget-degree", "0"),
+     ("ee", "--star", "3", "1", "--tol", "-1"),
      ("bounds", "--star", "3", "1", "--budget-degree", "0"),
      ("spectrum", "--star", "3", "1", "--budget-selections", "-1")],
 )
 def test_nonpositive_numbers_are_parse_errors(capsys, argv):
-    """Every subcommand refuses a tolerance, thread count or budget that is
-    not positive when it parses its arguments, without a traceback."""
+    """Every subcommand refuses a tolerance or budget that is not positive
+    when it parses its arguments, without a traceback."""
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_PARSE
     assert out == ""
@@ -157,21 +169,6 @@ def test_graph_traces_infeasible_budget(capsys):
     )
     assert code == EXIT_INFEASIBLE
     assert "infeasible" in err
-
-
-def test_traces_threads_do_not_change_output(capsys):
-    base = run_cli(capsys, "traces", "--star", "3", "3", "--max-d", "15",
-                   "--threads", "1")
-    multi = run_cli(capsys, "traces", "--star", "3", "3", "--max-d", "15",
-                    "--threads", "3")
-    assert base == multi
-
-
-def test_threads_default_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("HYPEREE_THREADS", "2")
-    code, out, _ = run_cli(capsys, "traces", "--star", "3", "2", "--max-d", "6")
-    assert code == EXIT_OK
-    assert out.splitlines()[0] == "Tr_0 = 80"
 
 
 # spectrum
@@ -342,3 +339,28 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "Tr_3 = 9"
+
+
+def test_runtime_is_numpy_only_and_single_process():
+    """table1 and estrada_index(threads=2) on a corpus input load no
+    process pool and none of the test-only libraries."""
+    h = CORPUS["rand-3-b"]
+    script = f"""
+import sys
+from hyperee.cli import main
+from hyperee.estrada import estrada_index
+from hyperee.hypergraph import from_edge_list
+assert main(["table1"]) == 0
+estrada_index(from_edge_list({h.m}, {h.n}, {list(h.edges)!r}), threads=2)
+print(sorted({{name.split(".")[0] for name in sys.modules}}))
+"""
+    src = str(pathlib.Path(hyperee.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    for name in ("concurrent", "multiprocessing", "mpmath", "sympy", "scipy",
+                 "hypothesis"):
+        assert repr(name) not in loaded, name

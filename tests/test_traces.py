@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from _oracles import (
     closed_walk_trace_terms,
+    fraction_determinant,
     has_rotation_labelling,
     matrix_power_sums,
     star_trace,
@@ -189,10 +191,33 @@ def test_internal_walk_cross_check():
 # Engine internals exercised through the public surface
 
 
-def test_threads_do_not_change_results():
-    for name in ["star-3-3", "rand-3-b"]:
-        h = CORPUS[name]
-        assert trace_d(h, 6, threads=3) == trace_d(h, 6, threads=1), name
+def _reduced_balanced_laplacian(rng: random.Random, n: int) -> list[list[int]]:
+    """The out-degree Laplacian of a random balanced multi-digraph on n
+    vertices, a union of random closed walks that may leave some vertices
+    apart, with vertex 0's row and column removed."""
+    lap = [[0] * n for _ in range(n)]
+    for _ in range(rng.randint(0, n)):
+        walk = [rng.randrange(n) for _ in range(rng.randint(2, n + 1))]
+        for u, v in zip(walk, walk[1:] + walk[:1]):
+            if u != v:
+                lap[u][u] += 1
+                lap[u][v] -= 1
+    return [row[1:] for row in lap[1:]]
+
+
+def test_det_bareiss_matches_rational_elimination():
+    """Reduced Laplacians of balanced digraphs, disconnected ones included,
+    against exact rational elimination; a zero pivot means determinant 0."""
+    rng = random.Random(7)
+    zeros = 0
+    for _ in range(400):
+        a = _reduced_balanced_laplacian(rng, rng.randint(1, 8))
+        expected = fraction_determinant(a)
+        zeros += expected == 0
+        assert traces._det_bareiss([list(row) for row in a]) == expected, a
+    assert zeros > 50  # singular inputs, where elimination meets a zero pivot
+    # the pivot of the second step becomes zero partway through elimination
+    assert traces._det_bareiss([[1, -1, 0], [-1, 1, 0], [0, 0, 1]]) == 0
 
 
 def test_selection_budget_trips():
