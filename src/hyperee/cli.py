@@ -2,7 +2,8 @@
 
 Subcommands: gen, ee, traces, spectrum, bounds, table1.  Every analysis
 command takes its instance from exactly one of --input FILE, --star M Q,
---path M P, --empty M N, and reports in human, json, or csv form.
+--path M P, --empty M N.  Each reporting command builds one report and
+prints it in human, json, or csv form.
 
 Exit codes: 0 success, 1 argument/parse errors, 2 feasibility refusals,
 3 reference-table mismatch.
@@ -16,12 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .estrada import (
-    BoundsReport,
-    EstradaResult,
-    bounds_refined,
-    estrada_index,
-)
+from .estrada import bounds_refined, estrada_index
 from .hypergraph import (
     HypergraphFormatError,
     UniformHypergraph,
@@ -60,11 +56,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
-def _sig(x: float | None) -> float | None:
-    """Round to 10 significant digits for stable, readable reports."""
-    if x is None:
-        return None
-    return float(f"{x:.10g}")
+def _sig(x):
+    """Round a float to 10 significant digits for stable, readable
+    reports; any other value passes through."""
+    return float(f"{x:.10g}") if isinstance(x, float) else x
+
+
+def _fields(obj) -> dict:
+    """A result dataclass as a report dict, floats rounded by _sig."""
+    return {name: _sig(value) for name, value in vars(obj).items()}
 
 
 def _fraction_json(v: Fraction) -> int | str:
@@ -101,8 +101,6 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_positive(float), default=1e-6,
-                   help="target tolerance for series truncation")
     p.add_argument("--budget-degree", type=_positive(int),
                    default=Budget().max_degree,
                    help="max eigenvalue count for full-spectrum work")
@@ -145,21 +143,24 @@ def _budget(args: argparse.Namespace) -> Budget:
     )
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _ee_payload(res: EstradaResult) -> dict:
-    return {
-        "value": _sig(res.value),
-        "method": res.method,
-        "error_bound": _sig(res.error_bound),
-        "terms_used": res.terms_used,
-        "imag_discard": _sig(res.imag_discard),
-        "converged": res.converged,
-    }
+def _emit(
+    args: argparse.Namespace, document: dict, rows: list[dict],
+    human: list[str],
+) -> None:
+    """Print one report in the --format asked for: the JSON document, its
+    CSV rows, or the human lines.  The CSV columns are the keys every row
+    carries, so a key only some rows have (table1's reason) stays in the
+    JSON; None is written as an empty field."""
+    if args.format == "json":
+        print(json.dumps(document, indent=2))
+    elif args.format == "csv":
+        columns = [key for key in rows[0] if all(key in row for row in rows)]
+        writer = csv.DictWriter(sys.stdout, columns, extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        print("\n".join(human))
 
 
 def cmd_ee(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -169,20 +170,15 @@ def cmd_ee(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     except ValueError as exc:  # the method does not apply to this input
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    payload = _ee_payload(res)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        header = list(payload)
-        _emit_csv(header, [[payload[kk] for kk in header]])
-    else:
-        print(f"EE = {res.value:.10g}  (method: {res.method})")
-        print(f"error bound: {res.error_bound:.10g}")
-        if res.terms_used is not None:
-            print(f"series orders used: {res.terms_used}")
-        if not res.converged:
-            print("warning: series stopped by the feasibility guard; "
-                  "the error bound covers the missing tail")
+    human = [f"EE = {res.value:.10g}  (method: {res.method})",
+             f"error bound: {res.error_bound:.10g}"]
+    if res.terms_used is not None:
+        human.append(f"series orders used: {res.terms_used}")
+    if not res.converged:
+        human.append("warning: series stopped by the feasibility guard; "
+                     "the error bound covers the missing tail")
+    document = _fields(res)
+    _emit(args, document, [document], human)
     return EXIT_OK
 
 
@@ -194,24 +190,12 @@ def cmd_traces(
         print("error: --max-d must be nonnegative", file=sys.stderr)
         return EXIT_PARSE
     ts = trace_sequence(h, args.max_d, budget=_budget(args))
-    if args.format == "json":
-        payload = {
-            "m": ts.m,
-            "n": ts.n,
-            "traces": [
-                {"d": d, "value": _fraction_json(v)}
-                for d, v in enumerate(ts.values)
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        _emit_csv(
-            ["d", "trace"],
-            [[d, _fraction_json(v)] for d, v in enumerate(ts.values)],
-        )
-    else:
-        for d, v in enumerate(ts.values):
-            print(f"Tr_{d} = {v}")
+    rows = [{"d": d, "trace": _fraction_json(v)} for d, v in enumerate(ts.values)]
+    document = {"m": ts.m, "n": ts.n, "traces": [
+        {"d": row["d"], "value": row["trace"]} for row in rows
+    ]}
+    _emit(args, document, rows,
+          [f"Tr_{d} = {v}" for d, v in enumerate(ts.values)])
     return EXIT_OK
 
 
@@ -220,46 +204,15 @@ def cmd_spectrum(
 ) -> int:
     h = _resolve_input(args, parser)
     s = spectrum(h, budget=_budget(args))
-    if args.format == "json":
-        payload = {
-            "k": s.k,
-            "provenance": s.provenance,
-            "residual": _sig(s.residual),
-            "entries": [
-                {"re": _sig(z.real), "im": _sig(z.imag), "multiplicity": mult}
-                for z, mult in s.entries
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        _emit_csv(
-            ["re", "im", "multiplicity"],
-            [[_sig(z.real), _sig(z.imag), mult] for z, mult in s.entries],
-        )
-    else:
-        print(f"k = {s.k} eigenvalues ({s.provenance}, residual {s.residual:.3g})")
-        for z, mult in s.entries:
-            print(f"  {z.real:+.10g} {z.imag:+.10g}i   x{mult}")
+    rows = [{"re": _sig(z.real), "im": _sig(z.imag), "multiplicity": mult}
+            for z, mult in s.entries]
+    human = [f"k = {s.k} eigenvalues ({s.provenance}, residual {s.residual:.3g})"]
+    human += [f"  {z.real:+.10g} {z.imag:+.10g}i   x{mult}"
+              for z, mult in s.entries]
+    document = {"k": s.k, "provenance": s.provenance,
+                "residual": _sig(s.residual), "entries": rows}
+    _emit(args, document, rows, human)
     return EXIT_OK
-
-
-def _bounds_payload(rep: BoundsReport) -> dict:
-    return {
-        "k": rep.k,
-        "lower_basic": _sig(rep.lower_basic),
-        "upper_basic": _sig(rep.upper_basic),
-        "upper_moment": _sig(rep.upper_moment),
-        "upper_moment_adjusted": _sig(rep.upper_moment_adjusted),
-        "upper_radius": _sig(rep.upper_radius),
-        "upper_radius_adjusted": _sig(rep.upper_radius_adjusted),
-        "modulus_sq_sum": _sig(rep.modulus_sq_sum),
-        "rho": {
-            "lower": _sig(rep.rho_used.lower),
-            "upper": _sig(rep.rho_used.upper),
-            "iterations": rep.rho_used.iterations,
-            "method": rep.rho_used.method,
-        },
-    }
 
 
 def cmd_bounds(
@@ -273,35 +226,31 @@ def cmd_bounds(
             s = spectrum(h, budget=budget)
         except FeasibilityError:
             s = None
-    rep = bounds_refined(s, h, budget=budget)
+    rep = bounds_refined(s, h)
     rho = rep.rho_used
-    payload = _bounds_payload(rep)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        flat = {
-            kk: vv for kk, vv in payload.items() if kk != "rho"
-        }
-        flat["rho_lower"] = payload["rho"]["lower"]
-        flat["rho_upper"] = payload["rho"]["upper"]
-        header = list(flat)
-        _emit_csv(header, [["" if flat[kk] is None else flat[kk]
-                            for kk in header]])
+    human = [
+        f"k = {rep.k}",
+        f"spectral radius in [{rho.lower:.10g}, {rho.upper:.10g}] "
+        f"({rho.method})",
+        f"lower bound (order-m trace): {rep.lower_basic:.10g}",
+        f"upper bound (radius, basic): {rep.upper_basic:.10g}",
+    ]
+    if rep.upper_moment is not None:
+        human += [
+            f"upper bound (moment):          {rep.upper_moment:.10g}",
+            f"upper bound (moment, adjusted): {rep.upper_moment_adjusted:.10g}",
+        ]
     else:
-        print(f"k = {rep.k}")
-        print(f"spectral radius in [{rho.lower:.10g}, {rho.upper:.10g}] "
-              f"({rho.method})")
-        print(f"lower bound (order-m trace): {rep.lower_basic:.10g}")
-        print(f"upper bound (radius, basic): {rep.upper_basic:.10g}")
-        if rep.upper_moment is not None:
-            print(f"upper bound (moment):          {rep.upper_moment:.10g}")
-            print(f"upper bound (moment, adjusted): "
-                  f"{rep.upper_moment_adjusted:.10g}")
-        else:
-            print("upper bound (moment): n/a (no spectrum within budget)")
-        print(f"upper bound (radius):          {rep.upper_radius:.10g}")
-        print(f"upper bound (radius, adjusted): "
-              f"{rep.upper_radius_adjusted:.10g}")
+        human.append("upper bound (moment): n/a (no spectrum within budget)")
+    human += [
+        f"upper bound (radius):          {rep.upper_radius:.10g}",
+        f"upper bound (radius, adjusted): {rep.upper_radius_adjusted:.10g}",
+    ]
+    fields = _fields(rep)
+    rho_fields = _fields(fields.pop("rho_used"))
+    _emit(args, {**fields, "rho": rho_fields},
+          [{**fields, "rho_lower": rho_fields["lower"],
+            "rho_upper": rho_fields["upper"]}], human)
     return EXIT_OK
 
 
@@ -310,9 +259,12 @@ def cmd_table1(
 ) -> int:
     budget = _budget(args)
     rows = []
-    all_ok = True
     for label, kind, edges, reference, tol_kind, tol in TABLE_ROWS:
         h = gen_hyperpath(3, edges) if kind == "path" else gen_hyperstar(3, edges)
+        row = {"instance": label, "method": None, "computed": None,
+               "reference": reference, "abs_dev": None, "rel_dev": None,
+               "tolerance": f"{tol_kind} {tol:g}", "status": "SKIPPED"}
+        rows.append(row)
         try:
             res = estrada_index(h, "auto", tol=args.tol, budget=budget)
             if not res.converged:
@@ -322,49 +274,32 @@ def cmd_table1(
                     f"{res.error_bound:.3g})"
                 )
         except FeasibilityError as exc:
-            rows.append({
-                "instance": label, "method": None, "computed": None,
-                "reference": reference, "abs_dev": None, "rel_dev": None,
-                "tolerance": f"{tol_kind} {tol:g}", "status": "SKIPPED",
-                "reason": str(exc),
-            })
-            all_ok = False
+            row["reason"] = str(exc)
             continue
         abs_dev = abs(res.value - reference)
         rel_dev = abs_dev / abs(reference)
         ok = abs_dev <= tol if tol_kind == "abs" else rel_dev <= tol
-        all_ok = all_ok and ok
-        rows.append({
-            "instance": label, "method": res.method,
-            "computed": _sig(res.value), "reference": reference,
-            "abs_dev": _sig(abs_dev), "rel_dev": _sig(rel_dev),
-            "tolerance": f"{tol_kind} {tol:g}",
-            "status": "OK" if ok else "FAIL",
-        })
-    if args.format == "json":
-        print(json.dumps({"rows": rows, "all_ok": all_ok}, indent=2))
-    elif args.format == "csv":
-        header = ["instance", "method", "computed", "reference",
-                  "abs_dev", "rel_dev", "tolerance", "status"]
-        _emit_csv(header, [[r.get(kk, "") if r.get(kk) is not None else ""
-                            for kk in header] for r in rows])
-    else:
-        widths = (34, 22, 14, 10, 10, 10, 9)
-        print(f"{'instance':<{widths[0]}}{'method':<{widths[1]}}"
-              f"{'computed':>{widths[2]}}{'reference':>{widths[3]}}"
-              f"{'abs dev':>{widths[4]}}{'rel dev':>{widths[5]}}"
-              f"{'status':>{widths[6]}}")
-        for r in rows:
-            computed = "-" if r["computed"] is None else f"{r['computed']:.6g}"
-            abs_dev = "-" if r["abs_dev"] is None else f"{r['abs_dev']:.2g}"
-            rel_dev = "-" if r["rel_dev"] is None else f"{r['rel_dev']:.2g}"
-            method = r["method"] or "-"
-            print(f"{r['instance']:<{widths[0]}}{method:<{widths[1]}}"
-                  f"{computed:>{widths[2]}}{r['reference']:>{widths[3]}}"
-                  f"{abs_dev:>{widths[4]}}{rel_dev:>{widths[5]}}"
-                  f"{r['status']:>{widths[6]}}")
-        if not all_ok:
-            print("some rows deviate beyond tolerance or were skipped")
+        row.update(method=res.method, computed=_sig(res.value),
+                   abs_dev=_sig(abs_dev), rel_dev=_sig(rel_dev),
+                   status="OK" if ok else "FAIL")
+    all_ok = all(row["status"] == "OK" for row in rows)
+
+    def line(*cells) -> str:
+        return "".join(f"{cell:{align}{width}}" for cell, align, width
+                       in zip(cells, "<<>>>>>", (34, 22, 14, 10, 10, 10, 9)))
+
+    def shown(value, spec: str) -> str:
+        return "-" if value is None else format(value, spec)
+
+    human = [line("instance", "method", "computed", "reference", "abs dev",
+                  "rel dev", "status")]
+    human += [line(r["instance"], r["method"] or "-",
+                   shown(r["computed"], ".6g"), r["reference"],
+                   shown(r["abs_dev"], ".2g"), shown(r["rel_dev"], ".2g"),
+                   r["status"]) for r in rows]
+    if not all_ok:
+        human.append("some rows deviate beyond tolerance or were skipped")
+    _emit(args, {"rows": rows, "all_ok": all_ok}, rows, human)
     return EXIT_OK if all_ok else EXIT_TABLE
 
 
@@ -400,6 +335,8 @@ def build_parser() -> _Parser:
 
     p_ee = sub.add_parser("ee", help="compute the Estrada index")
     _add_input_flags(p_ee)
+    p_ee.add_argument("--tol", type=_positive(float), default=1e-6,
+                      help="target tolerance for series truncation")
     _add_common_flags(p_ee)
     p_ee.add_argument(
         "--method", default="auto",
@@ -427,8 +364,10 @@ def build_parser() -> _Parser:
         "table1",
         help="recompute the six published benchmark values",
     )
+    p_tb.add_argument("--tol", type=_positive(float), default=1e-3,
+                      help="target tolerance for series truncation")
     _add_common_flags(p_tb)
-    p_tb.set_defaults(func=cmd_table1, tol=1e-3)
+    p_tb.set_defaults(func=cmd_table1)
     return parser
 
 

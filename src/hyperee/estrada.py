@@ -316,15 +316,14 @@ def bounds_refined(
     s: Spectrum | None,
     h: UniformHypergraph,
     rho: SpectralRadiusEstimate | None = None,
-    *,
-    budget: Budget | None = None,
 ) -> BoundsReport:
     """Evaluate the full family of EE bounds for h.
 
     The moment-based upper bounds require the spectrum s (pass None to
     skip them); the basic and radius-based bounds never do.  Tr_2 enters
-    the moment bounds exactly from the trace engine (it vanishes for
-    m >= 3 but not for ordinary graphs).
+    the moment bounds exactly from its closed form: 2|E| for graphs, 0
+    for m >= 3, where orders 1..m-1 vanish.  An adjusted bound whose
+    unadjusted bound is inf is inf too.
     """
     k = _checked_count(h.eigenvalue_count())
     if rho is None:
@@ -335,19 +334,23 @@ def bounds_refined(
     ru = rho.upper
     x = ru * math.sqrt(2.0 * k)
     upper_radius = k - 1 + _safe_exp(x)
-    upper_radius_adjusted = upper_radius + adj - sum(
-        (math.sqrt(2.0) * ru) ** l / math.factorial(l)
-        for l in range(1, m + 1)
+    upper_radius_adjusted = math.inf if math.isinf(upper_radius) else (
+        upper_radius + adj - sum(
+            (math.sqrt(2.0) * ru) ** l / math.factorial(l)
+            for l in range(1, m + 1)
+        )
     )
     upper_moment = upper_moment_adjusted = r_val = None
     if s is not None:
         alpha_sq = sum(mult * z.real**2 for z, mult in s.entries)
-        tr2 = float(trace_d(h, 2, budget=budget))
+        tr2 = float(order_m_trace(h)) if m == 2 else 0.0
         r_val = max(2.0 * alpha_sq - tr2, 0.0)
         sq = math.sqrt(r_val)
         upper_moment = k - 1 + _safe_exp(sq)
-        upper_moment_adjusted = upper_moment + adj - sum(
-            r_val ** (l / 2.0) / math.factorial(l) for l in range(1, m + 1)
+        upper_moment_adjusted = math.inf if math.isinf(upper_moment) else (
+            upper_moment + adj - sum(
+                r_val ** (l / 2.0) / math.factorial(l) for l in range(1, m + 1)
+            )
         )
     return BoundsReport(
         k=k,

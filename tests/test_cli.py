@@ -110,6 +110,58 @@ def test_nonpositive_numbers_are_parse_errors(capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
+    [("traces", "--star", "3", "1", "--max-d", "3", "--tol", "1e-3"),
+     ("spectrum", "--star", "3", "1", "--tol", "1e-3"),
+     ("bounds", "--star", "3", "1", "--tol", "1e-3")],
+)
+def test_tol_is_rejected_where_nothing_reads_it(capsys, argv):
+    """Only ee and table1 truncate a series, so only they take --tol."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "--tol" in err and "Traceback" not in err
+
+
+def _csv_shaped(command, document):
+    """The rows a CSV report should carry, read off its JSON document."""
+    if command == "ee":
+        return [document]
+    if command == "traces":
+        return [{"d": t["d"], "trace": t["value"]} for t in document["traces"]]
+    if command == "spectrum":
+        return document["entries"]
+    if command == "bounds":
+        flat = {key: value for key, value in document.items() if key != "rho"}
+        return [{**flat, "rho_lower": document["rho"]["lower"],
+                 "rho_upper": document["rho"]["upper"]}]
+    return [{key: value for key, value in row.items() if key != "reason"}
+            for row in document["rows"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("ee", "--path", "3", "3", "--method", "series", "--tol", "1e-3"),
+     ("ee", "--path", "3", "4", "--budget-selections", "50"),
+     ("traces", "--path", "3", "2", "--max-d", "6"),
+     ("spectrum", "--star", "3", "2"),
+     ("bounds", "--star", "3", "1"),
+     ("bounds", "--path", "3", "3"),
+     ("table1", "--budget-selections", "1")],
+)
+def test_csv_rows_carry_the_json_values(capsys, argv):
+    """The csv format prints the json report's rows: same columns, same
+    values, None as an empty field."""
+    code, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+    code_csv, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code_csv == code
+    want = [{key: "" if value is None else str(value)
+             for key, value in row.items()}
+            for row in _csv_shaped(argv[0], json.loads(out_json))]
+    assert list(csv.DictReader(io.StringIO(out_csv))) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
     [("ee", "--star", "3", "600"), ("ee", "--empty", "3", "2000"),
      ("bounds", "--empty", "3", "2000")],
 )

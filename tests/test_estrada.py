@@ -17,7 +17,7 @@ from _oracles import (
     orbit_sum_m4,
 )
 from conftest import CORPUS
-from hyperee import tensor, traces
+from hyperee import estrada, tensor, traces
 from hyperee._poly import ConvergenceError
 from hyperee.estrada import (
     bounds_basic,
@@ -474,6 +474,44 @@ def test_bounds_moment_dominates_ee_on_tight_pair():
         rep.upper_radius, rep.upper_radius_adjusted,
     ):
         assert ee < upper
+
+
+def test_bounds_take_tr2_without_the_trace_engine(monkeypatch):
+    """Tr_2 is 2|E| for graphs and 0 for m >= 3, so every bound on the
+    corpus is the same with the trace engine switched off."""
+    cases = []
+    for h in CORPUS.values():
+        assert trace_d(h, 2) == (order_m_trace(h) if h.m == 2 else 0)
+        try:
+            cases.append((spectrum(h), h))
+        except FeasibilityError:
+            pass
+        cases.append((None, h))
+    want = [bounds_refined(s, h) for s, h in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bounds_refined called the trace engine")
+
+    monkeypatch.setattr(estrada, "trace_d", refuse)
+    assert [bounds_refined(s, h) for s, h in cases] == want
+
+
+def test_moment_bounds_past_float_range_are_inf():
+    """r = sum |lambda|^2 of the 480-edge hyperstar puts e^sqrt(r) and
+    r^(3/2) past float range: both moment bounds are inf, not an error."""
+    rep = bounds_refined(hyperstar_spectrum(3, 480), gen_hyperstar(3, 480))
+    assert rep.upper_moment == rep.upper_moment_adjusted == math.inf
+    assert rep.upper_radius == rep.upper_radius_adjusted == math.inf
+    assert math.isfinite(rep.lower_basic)
+
+
+def test_radius_bounds_past_float_range_are_inf():
+    """(sqrt(2) * rho)^100 overflows at rho = 1000; the adjusted radius
+    bound is inf like the unadjusted one, not an error."""
+    rho = SpectralRadiusEstimate(0.0, 1000.0, 0, "degree-bound")
+    rep = bounds_refined(None, gen_hyperstar(100, 1), rho=rho)
+    assert rep.upper_radius == rep.upper_radius_adjusted == math.inf
+    assert rep.upper_moment is None and rep.upper_moment_adjusted is None
 
 
 # Eigenvalue counts beyond float range
