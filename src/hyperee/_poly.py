@@ -1,19 +1,19 @@
 """Exact univariate polynomial helpers and an all-roots finder.
 
 Polynomials are lists of coefficients in ascending power order.  The exact
-routines work over Fraction/int; the numeric root finder (Aberth-Ehrlich
+routines work over the integers; the numeric root finder (Aberth-Ehrlich
 simultaneous iteration) is only ever handed square-free factors, where all
 roots are simple and convergence is fast and accurate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-FPoly = list[Fraction]
 IPoly = list[int]
 
 
@@ -38,53 +38,8 @@ def degree(p: list) -> int:
     return len(p) - 1
 
 
-def derivative(p: FPoly) -> FPoly:
+def derivative(p: IPoly) -> IPoly:
     return [c * i for i, c in enumerate(p)][1:]
-
-
-def divmod_exact(a: FPoly, b: FPoly) -> tuple[FPoly, FPoly]:
-    """Long division over the rationals."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    if not trim(list(b)):
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    rem = a[:]
-    db = degree(b)
-    lead = b[-1]
-    while degree(trim(rem)) >= db and any(rem):
-        rem = trim(rem)
-        shift = degree(rem) - db
-        factor = rem[-1] / lead
-        quot[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem = rem[:-1]
-    return trim(quot) or [Fraction(0)], trim(rem)
-
-
-def div_exact(a: FPoly, b: FPoly) -> FPoly:
-    q, r = divmod_exact(a, b)
-    if r:
-        raise ArithmeticError("division was not exact")
-    return q
-
-
-def monic(p: FPoly) -> FPoly:
-    lead = p[-1]
-    return [Fraction(c) / lead for c in p]
-
-
-def to_int_primitive(p: FPoly) -> IPoly:
-    """Clear denominators and content; leading coefficient made positive."""
-    denom = math.lcm(*(Fraction(c).denominator for c in p))
-    ints = [int(Fraction(c) * denom) for c in p]
-    content = math.gcd(*(abs(c) for c in ints))
-    if content:
-        ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
 
 
 def _pseudo_rem(a: IPoly, b: IPoly) -> IPoly:
@@ -106,66 +61,60 @@ def _pseudo_rem(a: IPoly, b: IPoly) -> IPoly:
 
 def gcd_int(a: IPoly, b: IPoly) -> IPoly:
     """Primitive-PRS polynomial gcd over the integers (positive leading coeff)."""
-    a, b = trim(a[:]), trim(b[:])
-    if not a:
-        return _primitive(b)
-    if not b:
-        return _primitive(a)
     a, b = _primitive(a), _primitive(b)
     while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive(r)
-    return a if a[-1] > 0 else [-c for c in a]
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return a if not a or a[-1] > 0 else [-c for c in a]
 
 
 def _primitive(p: IPoly) -> IPoly:
     p = trim(p[:])
     if not p:
         return p
-    content = math.gcd(*(abs(c) for c in p))
+    content = math.gcd(*p)
     return [c // content for c in p]
 
 
-def gcd_frac(a: FPoly, b: FPoly) -> FPoly:
-    """Monic gcd over the rationals, via the integer primitive PRS."""
-    a, b = trim(list(a)), trim(list(b))
-    if not a:
-        return monic(b) if b else []
-    if not b:
-        return monic(a)
-    g = gcd_int(to_int_primitive(a), to_int_primitive(b))
-    return monic([Fraction(c) for c in g])
+def _div_exact(a: IPoly, b: IPoly) -> IPoly:
+    """The quotient a / b in Z[x]; raises unless b divides a there."""
+    r = a[:]
+    db, lead = degree(b), b[-1]
+    q = [0] * max(0, len(a) - db)
+    for shift in reversed(range(len(q))):
+        q[shift] = r[shift + db] // lead
+        for i, c in enumerate(b):
+            r[shift + i] -= q[shift] * c
+    if any(r):
+        raise ArithmeticError("division was not exact")
+    return q
 
 
-def squarefree_decomposition(p: FPoly) -> list[tuple[FPoly, int]]:
-    """Yun's algorithm: p = prod factor^multiplicity with square-free,
-    pairwise-coprime monic factors.  p must be nonconstant."""
-    p = monic(trim([Fraction(c) for c in p]))
-    dp = derivative(p)
-    g = gcd_frac(p, dp)
-    if degree(g) == 0:
-        return [(p, 1)]
-    b = div_exact(p, g)
-    c = div_exact(dp, g)
-    d = [ci - bi for ci, bi in _padded(c, derivative(b))]
-    d = trim(d)
-    out: list[tuple[FPoly, int]] = []
+def squarefree_decomposition(p: list) -> list[tuple[IPoly, int]]:
+    """Yun's algorithm over Z[x]: p = const * prod factor^multiplicity with
+    square-free, pairwise-coprime primitive integer factors.
+
+    p has rational coefficients and must be nonconstant; it is cleared of
+    denominators and content once.  Every divisor below is a primitive
+    gcd that divides its dividend over Q, so by Gauss's lemma the division
+    is exact over Z.  Scaling b and c by the same constant scales d by it
+    too, so the integer factors are the rational ones up to a constant.
+    """
+    denom = math.lcm(*(c.denominator for c in p))
+    f = _primitive([int(c * denom) for c in p])
+    df = derivative(f)
+    g = gcd_int(f, df)
+    b, c = _div_exact(f, g), _div_exact(df, g)
+    out: list[tuple[IPoly, int]] = []
     i = 1
     while degree(b) > 0:
-        a = gcd_frac(b, d) if d else monic(b)
+        d = trim([x - y for x, y in itertools.zip_longest(
+            c, derivative(b), fillvalue=0)])
+        a = gcd_int(b, d)
         if degree(a) > 0:
             out.append((a, i))
-        b = div_exact(b, a)
-        c = div_exact(d, a) if d else []
-        db = derivative(b)
-        d = trim([ci - bi for ci, bi in _padded(c, db)])
+        b, c = _div_exact(b, a), _div_exact(d, a)
         i += 1
     return out
-
-
-def _padded(a: list, b: list) -> list[tuple]:
-    length = max(len(a), len(b))
-    return list(zip(a + [0] * (length - len(a)), b + [0] * (length - len(b))))
 
 
 def _log2_abs(x: Fraction) -> float:

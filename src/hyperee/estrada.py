@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .hypergraph import UniformHypergraph, detect_hyperstar
@@ -60,12 +60,12 @@ class EstradaResult:
     """One computed Estrada index value.
 
     error_bound is certified for trace-series (a true tail bound),
-    residual-propagated for spectrum-sum, and 0 for the closed forms
-    (exact up to float rounding).  imag_discard records the magnitude of
-    the imaginary mass dropped when realizing the value.  converged is
-    False only for a trace series stopped early by the feasibility
-    guard, in which case error_bound still honestly covers the missing
-    tail.  terms_used, for trace-series, is the number of orders summed
+    residual-propagated for spectrum-sum and for symmetric-formula on a
+    numeric spectrum, and 0 for the closed forms (exact up to float
+    rounding).  imag_discard records the magnitude of the imaginary mass
+    dropped when realizing the value.  converged is False only for a
+    trace series stopped early by the feasibility guard, in which case
+    error_bound still honestly covers the missing tail.  terms_used, for trace-series, is the number of orders summed
     (orders 0..terms_used-1); orders certified zero count as summed,
     though trace_d returns them without any enumeration.
     """
@@ -110,13 +110,17 @@ def ee_from_spectrum(s: Spectrum) -> EstradaResult:
             f"eigenvalue multiset is not conjugate-closed: discarding "
             f"imaginary mass {discard:.3e} against value {value:.6g}"
         )
-    error = s.k * _safe_exp(s.rho) * s.residual
     return EstradaResult(
         value=value,
         method="spectrum-sum",
-        error_bound=error,
+        error_bound=_spectrum_error(s),
         imag_discard=discard,
     )
+
+
+def _spectrum_error(s: Spectrum) -> float:
+    """k * e^rho times the spectrum's root residual; 0 in closed form."""
+    return s.k * _safe_exp(s.rho) * s.residual
 
 
 def ee_trace_series(
@@ -410,5 +414,6 @@ def estrada_index(
     if method == "symmetric":
         s = spectrum(h, budget=budget)
         n0, reps = symmetric_representatives(s, h.m)
-        return ee_symmetric(reps, n0, h.m, k=s.k)
+        result = ee_symmetric(reps, n0, h.m, k=s.k)
+        return replace(result, error_bound=_spectrum_error(s))
     raise ValueError(f"unknown method: {method!r}")

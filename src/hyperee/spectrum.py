@@ -23,7 +23,7 @@ import numpy as np
 
 from ._poly import (
     ConvergenceError,
-    FPoly,
+    IPoly,
     _log2_abs,
     aberth_roots,
     degree,
@@ -102,39 +102,27 @@ def charpoly_from_traces(ts: TraceSequence) -> CharPoly:
             f"need trace orders 0..{k}, got only 0..{len(ts.values) - 1}"
         )
     p = ts.values
-    e = [Fraction(1)]
+    c = [Fraction(0)] * k + [Fraction(1)]
     for j in range(1, k + 1):
-        acc = Fraction(0)
-        for i in range(1, j + 1):
-            term = e[j - i] * p[i]
-            acc += term if i % 2 == 1 else -term
-        e.append(acc / j)
-    coeffs = [Fraction(0)] * (k + 1)
-    for j in range(k + 1):
-        coeffs[k - j] = e[j] if j % 2 == 0 else -e[j]
-    return CharPoly(k=k, coeffs=tuple(coeffs))
+        c[k - j] = -sum(c[k - j + i] * p[i] for i in range(1, j + 1)) / j
+    return CharPoly(k=k, coeffs=tuple(c))
 
 
-def _scaled_floats(factor: FPoly) -> tuple[list[float], int]:
-    """Balance a monic factor for float evaluation.
+def _scaled_floats(factor: IPoly) -> tuple[list[float], int]:
+    """Make an integer factor monic and balance it for float evaluation.
 
     Substituting x = 2^t * y keeps every non-leading coefficient of the
     monic polynomial in y at magnitude <= 1, so huge exact coefficients
-    never overflow a double.  Returns (float coefficients of q(y), t).
+    never overflow a double.  Returns (float coefficients of q(y), t); each
+    is the correctly rounded quotient of two integers.
     """
-    d = degree(factor)
-    t = 0
+    d, lead = degree(factor), factor[-1]
     logs = [
-        (_log2_abs(c), j) for j, c in enumerate(factor[:-1]) if c != 0
+        (_log2_abs(Fraction(c, lead)), j)
+        for j, c in enumerate(factor[:-1]) if c != 0
     ]
-    if logs:
-        t = max(0, math.ceil(max(lg / (d - j) for lg, j in logs)))
-    if t == 0:
-        return [float(c) for c in factor], 0
-    scaled = [
-        float(c / Fraction(2) ** (t * (d - j))) for j, c in enumerate(factor)
-    ]
-    return scaled, t
+    t = max(0, math.ceil(max(lg / (d - j) for lg, j in logs))) if logs else 0
+    return [c / (lead << t * (d - j)) for j, c in enumerate(factor)], t
 
 
 def _snap_real(z: complex) -> complex:
@@ -167,9 +155,9 @@ def roots(cp: CharPoly) -> tuple[tuple[Entry, ...], float]:
 
     Zero eigenvalues are read off exactly from the vanishing low-order
     coefficients.  The remaining part is split by Yun's square-free
-    decomposition, so each numeric solve sees only simple roots; the
-    multiplicity of every root of the i-th square-free factor is exactly i.
-    Returns (entries, residual).
+    decomposition over the integers, so each numeric solve sees only
+    simple roots; the multiplicity of every root of the i-th square-free
+    factor is exactly i.  Returns (entries, residual).
     """
     coeffs = list(cp.coeffs)
     zero_mult = 0

@@ -334,6 +334,30 @@ def test_symmetric_method_via_dispatch():
     assert res.value == pytest.approx(want.value, rel=1e-9)
 
 
+def test_symmetric_method_carries_the_spectrum_error():
+    """On a Newton-Aberth spectrum the rotation-orbit route reports the
+    same propagated error as the spectrum sum; closed forms keep 0."""
+    h = CORPUS["tight-pair-3"]
+    want = estrada_index(h, "spectrum").error_bound
+    assert want > 0
+    assert estrada_index(h, "symmetric").error_bound == want
+    for name in ("star-3-2", "star-3-3", "star-4-1"):
+        assert estrada_index(CORPUS[name], "symmetric").error_bound == 0.0, name
+
+
+@pytest.mark.xfail(strict=True, reason="spectrum-sum's k*e^rho*residual bound is "
+                   "not a proof: the residual is never divided by |p'(z)|")
+def test_spectrum_sum_bound_covers_the_path_graph_on_31_vertices():
+    """The path graph P_31 has eigenvalues 2cos(pi j/32), j = 1..31; the
+    answer is 4.2e-8 off against a reported bound of 9.5e-31."""
+    res = estrada_index(gen_hyperpath(2, 30), "spectrum")
+    with mpmath.workdps(50):
+        want = mpmath.fsum(
+            mpmath.exp(2 * mpmath.cos(mpmath.pi * j / 32)) for j in range(1, 32)
+        )
+        assert abs(mpmath.mpf(res.value) - want) <= res.error_bound
+
+
 def test_auto_prefers_star_form():
     assert estrada_index(gen_hyperstar(3, 3)).method == "hyperstar-closed-form"
 
