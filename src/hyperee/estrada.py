@@ -31,8 +31,9 @@ from fractions import Fraction
 
 from .hypergraph import UniformHypergraph, detect_hyperstar
 from .spectrum import (
+    Rep,
     Spectrum,
-    hyperstar_multiplicities,
+    _hyperstar_orbits,
     spectrum,
     symmetric_representatives,
 )
@@ -51,8 +52,6 @@ from .traces import (
 )
 
 IMAG_DISCARD_LIMIT = 1e-8
-
-Rep = tuple[float, float, int]
 
 
 @dataclass(frozen=True)
@@ -131,18 +130,20 @@ def ee_trace_series(
 ) -> EstradaResult:
     """EE as the exact series sum_d Tr_d / d!, certified truncation.
 
-    Orders 0..D-1 are accumulated as exact rationals; truncation happens
-    once _series_tail(k, rho, D') <= target_tol, D' being the first
+    Orders 0..D-1 are accumulated as exact rationals.  D is the first
+    order with _series_tail(k, rho, D') <= target_tol, D' being the first
     order >= D that can be nonzero, which bounds everything left because
     |Tr_d| <= k * rho^d; rho is the power-iteration upper end of the
-    spectral radius.  Orders that _order_step proves zero cost trace_d no
-    enumeration.  If the trace enumeration becomes infeasible first, the
-    partial sum is returned with converged=False and the same honest tail
-    bound.  When no order the budget admits could bring the tail under
-    target_tol, that happens at the degree bound, without the power
-    iteration.
+    spectral radius.  The tail needs no trace, so D is fixed before the
+    first one, and it is capped at budget.max_degree + 1.  Orders that
+    _order_step proves zero cost trace_d no enumeration.  If the trace
+    enumeration becomes infeasible below D, or the cap cuts the series
+    short, the partial sum is returned with converged=False and the same
+    honest tail bound.  When no order the budget admits could bring the
+    tail under target_tol, that happens at the degree bound, without the
+    power iteration.
     """
-    if target_tol <= 0:
+    if not target_tol > 0:
         raise ValueError("target_tol must be positive")
     budget = budget or Budget()
     k = _checked_count(h.eigenvalue_count())
@@ -158,31 +159,26 @@ def ee_trace_series(
         rho = rho_upper_degree(h)
     else:
         rho = spectral_radius(h).upper
-    acc = Fraction(0)
-    factorial_d = 1  # d!
-    d = 0
-    while True:
-        # the tail from the first order >= d that can be nonzero
-        tail = _series_tail(k, rho, d + (-d % step))
-        if tail <= target_tol:
-            return EstradaResult(
-                float(acc), "trace-series", tail, terms_used=d
-            )
-        if d > budget.max_degree:
-            return EstradaResult(
-                float(acc), "trace-series", tail, terms_used=d,
-                converged=False,
-            )
-        try:
-            tr = trace_d(h, d, budget=budget)
-        except FeasibilityError:
-            return EstradaResult(
-                float(acc), "trace-series", tail, terms_used=d,
-                converged=False,
-            )
-        acc += tr / factorial_d
-        d += 1
-        factorial_d *= d
+
+    def tail(d: int) -> float:  # from the first order >= d that can be nonzero
+        return _series_tail(k, rho, d + (-d % step))
+
+    stop = 0
+    while stop <= budget.max_degree and tail(stop) > target_tol:
+        stop += 1
+    acc, factorial_d, d = Fraction(0), 1, 0  # factorial_d is d!
+    try:
+        while d < stop:
+            acc += trace_d(h, d, budget=budget) / factorial_d
+            d += 1
+            factorial_d *= d
+    except FeasibilityError:
+        pass
+    bound = tail(d)
+    return EstradaResult(
+        float(acc), "trace-series", bound, terms_used=d,
+        converged=bound <= target_tol,
+    )
 
 
 def _series_tail(k: int, rho: float, d: int) -> float:
@@ -256,17 +252,13 @@ def ee_hyperstar(m: int, q: int) -> EstradaResult:
 
     The nonzero eigenvalues are the m-th roots of r = 1..q with known
     multiplicities c_r, so EE is the rotation-orbit formula over the
-    representatives (r^(1/m), 0, c_r).
+    representatives (r^(1/m), 0, c_r).  An eigenvalue count beyond float
+    range is refused before the c_r, which take O(q^2) bits, are formed.
     """
-    c = hyperstar_multiplicities(m, q)
     n = q * (m - 1) + 1
-    k = _checked_count(n * (m - 1) ** (n - 1))
-    reps = [(r ** (1.0 / m), 0.0, c[r]) for r in range(1, q + 1) if c[r]]
-    n0 = k - m * sum(c[1:])
-    value = ee_symmetric(reps, n0, m).value
-    return EstradaResult(
-        value=value, method="hyperstar-closed-form", error_bound=0.0
-    )
+    _checked_count(n * (m - 1) ** (n - 1))
+    k, n0, reps = _hyperstar_orbits(m, q)
+    return replace(ee_symmetric(reps, n0, m, k), method="hyperstar-closed-form")
 
 
 def order_m_trace(h: UniformHypergraph) -> Fraction:
@@ -334,28 +326,24 @@ def bounds_refined(
         rho = spectral_radius(h)
     lower_basic, upper_basic = bounds_basic(h, rho)
     m = h.m
-    adj = float(order_m_trace(h) / math.factorial(m))
-    ru = rho.upper
-    x = ru * math.sqrt(2.0 * k)
-    upper_radius = k - 1 + _safe_exp(x)
-    upper_radius_adjusted = math.inf if math.isinf(upper_radius) else (
-        upper_radius + adj - sum(
-            (math.sqrt(2.0) * ru) ** l / math.factorial(l)
-            for l in range(1, m + 1)
-        )
-    )
+    tr_m = order_m_trace(h)
+    adj = float(tr_m / math.factorial(m))
+
+    def pair(x: float, base: float, power: float) -> tuple[float, float]:
+        """k - 1 + e^x, and that plus Tr_m/m! minus the sum of
+        base^(l*power)/l! over l = 1..m."""
+        upper = k - 1 + _safe_exp(x)
+        return upper, (math.inf if math.isinf(upper) else upper + adj - sum(
+            base ** (l * power) / math.factorial(l) for l in range(1, m + 1)))
+
+    upper_radius, upper_radius_adjusted = pair(
+        rho.upper * math.sqrt(2.0 * k), math.sqrt(2.0) * rho.upper, 1)
     upper_moment = upper_moment_adjusted = r_val = None
     if s is not None:
         alpha_sq = sum(mult * z.real**2 for z, mult in s.entries)
-        tr2 = float(order_m_trace(h)) if m == 2 else 0.0
+        tr2 = float(tr_m) if m == 2 else 0.0
         r_val = max(2.0 * alpha_sq - tr2, 0.0)
-        sq = math.sqrt(r_val)
-        upper_moment = k - 1 + _safe_exp(sq)
-        upper_moment_adjusted = math.inf if math.isinf(upper_moment) else (
-            upper_moment + adj - sum(
-                r_val ** (l / 2.0) / math.factorial(l) for l in range(1, m + 1)
-            )
-        )
+        upper_moment, upper_moment_adjusted = pair(math.sqrt(r_val), r_val, 0.5)
     return BoundsReport(
         k=k,
         lower_basic=lower_basic,
@@ -392,21 +380,18 @@ def estrada_index(
     """
     budget = budget or Budget()
     _checked_count(h.eigenvalue_count())
-    if method == "auto":
+    if method in ("auto", "star"):
         star_q = detect_hyperstar(h)
         if star_q is not None:
             return ee_hyperstar(h.m, star_q)
+        if method == "star":
+            raise ValueError("input is not a hyperstar")
         if not h.edges or h.eigenvalue_count() <= budget.max_degree:
             try:
                 return ee_from_spectrum(spectrum(h, budget=budget))
             except FeasibilityError:
                 pass  # the series needs far fewer trace orders than k
-        return ee_trace_series(h, tol, budget=budget)
-    if method == "star":
-        star_q = detect_hyperstar(h)
-        if star_q is None:
-            raise ValueError("input is not a hyperstar")
-        return ee_hyperstar(h.m, star_q)
+        method = "series"
     if method == "spectrum":
         return ee_from_spectrum(spectrum(h, budget=budget))
     if method == "series":

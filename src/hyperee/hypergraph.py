@@ -207,23 +207,13 @@ def connected_components(h: UniformHypergraph) -> list[tuple[int, ...]]:
 def detect_hyperstar(h: UniformHypergraph) -> int | None:
     """Return q if h is exactly a hyperstar with q edges (no isolated vertices).
 
-    All edges must share one common vertex, pairwise intersections must be
-    exactly that vertex, and every other vertex must lie in one edge.
+    With n = q(m-1) + 1 that is the case exactly when the sorted degrees are
+    (1, ..., 1, q): the degree-q vertex lies in every edge, and every other
+    vertex lies in one edge only, so no two edges meet anywhere else.
     """
     if h.q < 1 or h.n != h.q * (h.m - 1) + 1:
         return None
-    common = set(h.edges[0])
-    for e in h.edges[1:]:
-        common &= set(e)
-    if not common:
-        return None
-    centre = min(common)
-    deg = degrees(h).degrees
-    for v in range(1, h.n + 1):
-        expected = h.q if v == centre else 1
-        if deg[v - 1] != expected:
-            return None
-    return h.q
+    return h.q if sorted(degrees(h).degrees) == [1] * (h.n - 1) + [h.q] else None
 
 
 def from_edge_list(m: int, n: int, edges: Iterable[Iterable[int]]) -> UniformHypergraph:

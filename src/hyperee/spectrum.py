@@ -33,6 +33,8 @@ from .hypergraph import UniformHypergraph, detect_hyperstar
 from .traces import Budget, FeasibilityError, TraceSequence, trace_sequence
 
 Entry = tuple[complex, int]
+# one rotation orbit: (alpha, beta, multiplicity) for alpha + i*beta
+Rep = tuple[float, float, int]
 
 # The root pipeline sets an imaginary part within SNAP_ATOL * (1 + |z|) of
 # a numeric root z to 0; Spectrum.residual does not cover that move yet.
@@ -85,10 +87,6 @@ class Spectrum:
     def rho(self) -> float:
         """Largest eigenvalue modulus."""
         return max(abs(z) for z, _ in self.entries)
-
-    def modulus_sq_sum(self) -> float:
-        """Sum of |lambda|^2 over all k eigenvalues."""
-        return sum(mult * abs(z) ** 2 for z, mult in self.entries)
 
 
 def charpoly_from_traces(ts: TraceSequence) -> CharPoly:
@@ -202,24 +200,27 @@ def hyperstar_multiplicities(m: int, q: int) -> list[int]:
     return [math.comb(q, r) * a**r * b ** (q - r) for r in range(q + 1)]
 
 
-def hyperstar_spectrum(m: int, q: int) -> Spectrum:
-    """Closed-form spectrum of the hyperstar with q edges."""
+def _hyperstar_orbits(m: int, q: int) -> tuple[int, int, list[Rep]]:
+    """(k, n0, reps) of the hyperstar with q edges: its eigenvalue count,
+    its zero multiplicity, and one representative (r^(1/m), 0, c_r) per
+    rotation orbit of nonzero eigenvalues."""
     c = hyperstar_multiplicities(m, q)
     n = q * (m - 1) + 1
     k = n * (m - 1) ** (n - 1)
+    reps = [(r ** (1.0 / m), 0.0, c[r]) for r in range(1, q + 1) if c[r]]
+    return k, k - m * sum(c[1:]), reps
+
+
+def hyperstar_spectrum(m: int, q: int) -> Spectrum:
+    """Closed-form spectrum of the hyperstar with q edges."""
+    k, n0, reps = _hyperstar_orbits(m, q)
     entries: list[Entry] = []
-    nonzero = 0
-    for r in range(1, q + 1):
-        if c[r] == 0:
-            continue
-        rr = r ** (1.0 / m)
+    for alpha, _, mult in reps:
         for l in range(m):
-            z = rr * cmath.exp(2j * cmath.pi * l / m)
+            z = alpha * cmath.exp(2j * cmath.pi * l / m)
             if abs(z.imag) < 1e-15:
                 z = complex(z.real, 0.0)
-            entries.append((z, c[r]))
-            nonzero += c[r]
-    n0 = k - nonzero
+            entries.append((z, mult))
     if n0:
         entries.append((0j, n0))
     entries.sort(key=lambda it: (-abs(it[0]), cmath.phase(it[0])))
@@ -261,9 +262,7 @@ def spectrum(
     )
 
 
-def symmetric_representatives(
-    s: Spectrum, m: int
-) -> tuple[int, list[tuple[float, float, int]]]:
+def symmetric_representatives(s: Spectrum, m: int) -> tuple[int, list[Rep]]:
     """Split an m-fold rotation-symmetric spectrum into orbit data.
 
     Returns (n0, reps) where n0 is the zero multiplicity and each rep
@@ -279,7 +278,7 @@ def symmetric_representatives(
     ]
     n0 = s.k - sum(mult for _, mult in remaining)
     omega = cmath.exp(2j * cmath.pi / m)
-    reps: list[tuple[float, float, int]] = []
+    reps: list[Rep] = []
     while remaining:
         z0 = remaining[0][0]
         matches: list[list] = []

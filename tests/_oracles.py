@@ -3,12 +3,12 @@
 Everything here deliberately avoids the library's own computational
 paths: ordinary graphs go through dense integer matrices, traces of any
 uniformity through the closed-walk trace formula evaluated by brute force,
-hyperstars through their known eigenvalue families, the rotation-orbit
-sums of m = 3 and m = 4 through their trigonometric closed forms, and the
-m-symmetry labelling through a search of every labelling, and
-determinants through elimination over the rationals, so a bug in the
-trace engine, the root pipeline, the orbit formula or the labelling solver
-cannot hide in its own oracle.
+hyperstars through their definition and their known eigenvalue families,
+the rotation-orbit sums of m = 3 and m = 4 through their trigonometric
+closed forms, the m-symmetry labelling through a search of every
+labelling, and determinants through elimination over the rationals, so a
+bug in the trace engine, the root pipeline, the orbit formula, the star
+test or the labelling solver cannot hide in its own oracle.
 """
 
 from __future__ import annotations
@@ -162,6 +162,17 @@ def matrix_estrada(h: UniformHypergraph) -> float:
     """Classical Estrada index of a graph from dense eigenvalues."""
     eigs = np.linalg.eigvalsh(adjacency_matrix(h).astype(float))
     return float(np.sum(np.exp(eigs)))
+
+
+def is_hyperstar(h: UniformHypergraph) -> bool:
+    """One vertex lies in every edge, any two edges meet only there, and no
+    vertex is isolated; checked on every pair of edges."""
+    if not h.edges or set().union(*h.edges) != set(range(1, h.n + 1)):
+        return False
+    return any(
+        all(set(e) & set(f) == {v} for e, f in itertools.combinations(h.edges, 2))
+        for v in set(h.edges[0]).intersection(*h.edges)
+    )
 
 
 def star_family_sizes(m: int, q: int) -> list[int]:

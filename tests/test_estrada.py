@@ -162,8 +162,11 @@ def test_series_partial_when_order_cap_hits():
 
 
 def test_series_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        ee_trace_series(gen_hyperpath(3, 1), 0.0)
+    for tol in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError):
+            ee_trace_series(gen_hyperpath(3, 4), tol)
+        with pytest.raises(ValueError):
+            estrada_index(gen_hyperpath(3, 4), "series", tol=tol)
 
 
 def _mp_remainder(k: int, rho: float, d: int) -> mpmath.mpf:
@@ -563,3 +566,12 @@ def test_hyperstar_beyond_float_range_is_refused():
     with pytest.raises(FeasibilityError, match="beyond float range"):
         ee_hyperstar(3, 600)
     assert math.isfinite(ee_hyperstar(3, 500).value)  # k = 1001 * 4^500 fits
+
+
+def test_hyperstar_refusal_comes_before_the_multiplicities():
+    """k is checked before the c_r, 5,001 integers of up to 15,000 bits,
+    are formed."""
+    start = time.perf_counter()
+    with pytest.raises(FeasibilityError, match="beyond float range"):
+        ee_hyperstar(3, 5000)
+    assert time.perf_counter() - start < 0.5

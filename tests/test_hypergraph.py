@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import is_hyperstar
 from hyperee.hypergraph import (
     HypergraphFormatError,
     UniformHypergraph,
@@ -229,3 +233,36 @@ def test_detect_hyperstar_rejects_non_stars():
     assert detect_hyperstar(from_edge_list(3, 5, [(1, 2, 3), (1, 2, 4)])) is None
     # star plus an isolated vertex is not a star
     assert detect_hyperstar(from_edge_list(3, 4, [(1, 2, 3)])) is None
+
+
+@st.composite
+def near_stars(draw) -> UniformHypergraph:
+    """A random hypergraph, or a relabelled hyperstar, possibly with one
+    isolated vertex or one edge added, or one edge moved (which keeps n and
+    q, so only the degrees tell); m in {2, 3, 4} and n <= 9."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    kind = draw(st.sampled_from(["random", "star", "+vertex", "+edge", "moved"]))
+    if kind == "random":
+        n = draw(st.integers(m, 9))
+        pool = list(itertools.combinations(range(1, n + 1), m))
+        edges = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
+    else:
+        q = draw(st.integers(1, (9 - (kind == "+vertex") - 1) // (m - 1)))
+        star = gen_hyperstar(m, q)
+        n, edges = star.n + (kind == "+vertex"), list(star.edges)
+        others = [e for e in itertools.combinations(range(1, n + 1), m)
+                  if e not in star.edges]
+        if kind in ("+edge", "moved") and others:
+            if kind == "moved":
+                edges.pop(draw(st.integers(0, q - 1)))
+            edges.append(draw(st.sampled_from(others)))
+    label = draw(st.permutations(range(1, n + 1)))
+    return from_edge_list(m, n, [[label[v - 1] for v in e] for e in edges])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(near_stars())
+def test_detect_hyperstar_matches_its_definition(h):
+    """The degree-sequence test agrees with a check of the definition
+    edge pair by edge pair, and a star's q is its edge count."""
+    assert detect_hyperstar(h) == (h.q if is_hyperstar(h) else None)

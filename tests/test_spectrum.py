@@ -202,11 +202,6 @@ def test_spectrum_validation():
         Spectrum(k=0, entries=((0j, 1), (1 + 0j, -1)), provenance="test")
 
 
-def test_modulus_sq_sum():
-    s = hyperstar_spectrum(2, 4)
-    assert s.modulus_sq_sum() == pytest.approx(8.0)
-
-
 # Rotation symmetry
 
 
