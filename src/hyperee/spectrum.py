@@ -190,14 +190,20 @@ def hyperstar_multiplicities(m: int, q: int) -> list[int]:
     """c_r for r = 0..q: multiplicity of each m-th root of r in a hyperstar.
 
     Each nonzero eigenvalue family {r^(1/m) * e^(2*pi*i*l/m) : l} occurs
-    with multiplicity c_r; c_0 counts one block of zeros, and the rest of
-    the zero multiplicity is whatever remains of k.
+    with multiplicity c_r = C(q, r) a^r b^(q-r), a = m^(m-2) and
+    b = (m-1)^(m-1) - a; c_0 counts one block of zeros, and the rest of the
+    zero multiplicity is whatever remains of k.  They are formed in one
+    pass down from c_q = a^q by c_{r-1} = c_r r b / ((q-r+1) a), where
+    every division is exact (b = 0 for m = 2 just zeroes the rest).
     """
     if m < 2 or q < 1:
         raise ValueError("hyperstar needs m >= 2 and q >= 1")
     a = m ** (m - 2)
     b = (m - 1) ** (m - 1) - a
-    return [math.comb(q, r) * a**r * b ** (q - r) for r in range(q + 1)]
+    c = [a**q]
+    for r in range(q, 0, -1):
+        c.append(c[-1] * r * b // ((q - r + 1) * a))
+    return c[::-1]
 
 
 def _hyperstar_orbits(m: int, q: int) -> tuple[int, int, list[Rep]]:

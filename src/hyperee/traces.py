@@ -6,18 +6,26 @@ vertex i picks a multiset of incident edges (d_i picks in total across all
 vertices, sum d_i = d), each pick contributes the m-1 arcs from i into the
 rest of the edge, and the resulting arc multiset must support a closed walk
 using every arc exactly once.  Walk counts come from the arborescence form of
-the Eulerian-circuit count (matrix-tree determinant, exact integers); the
-per-vertex pick multisets are enumerated directly in their balanced form,
-which prunes the search to configurations with equal in- and out-degree at
-every vertex.  The splits of the picks are summed in integers against a
-Laplacian kept up to date pick by pick, and the per-vertex shares are summed
-in integers over one common denominator.
+the Eulerian-circuit count (matrix-tree determinant, exact integers, in
+closed form up to size 3); the per-vertex pick multisets are enumerated
+directly in their balanced form, which prunes the search to configurations
+with equal in- and out-degree at every vertex.  The splits of the picks are
+summed in integers against a reduced Laplacian kept up to date pick by pick,
+and the per-vertex shares are summed in integers over one common
+denominator.
+
+Every entry point computes a range of orders in one pass (trace_d is the
+range [d, d], trace_sequence the range [0, max_d], and the trace series the
+orders below its stopping order): one depth-first search finds the pick
+totals of every order in the range, each order is charged to its own
+budget before any trace is formed, and the range ends at the first order
+the budget refuses.
 
 Graphs (m = 2) take their traces tr(A^d) from matrix powers instead, taken
 in floating point modulo several moduli small enough to keep every product
-an exact integer, and put together by the Chinese remainder theorem; the
-per-vertex decomposition stays on the Eulerian engine for every m, so the
-two routes check each other on graphs.
+an exact integer, carried from order to order, and put together by the
+Chinese remainder theorem; the per-vertex decomposition stays on the
+Eulerian engine for every m, so the two routes check each other on graphs.
 
 Every result is exact: Python integers and fractions.Fraction.
 """
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,26 +72,20 @@ def trace_d(
     d: int,
     budget: Budget | None = None,
 ) -> Fraction:
-    """Exact d-th order trace of the adjacency tensor.
+    """Exact d-th order trace of the adjacency tensor: the order range [d, d].
 
     Order 0 is the eigenvalue count n(m-1)^(n-1) by convention.  Orders
     1..m-1 vanish; order m equals m^(m-1) (m-1)^(n-m) |E|.  For graphs
     (m = 2) this is tr(A^d), from exact matrix powers whose work,
-    n^3 per bit of d, is charged to the selection budget.
-
-    An order the budget admits that m does not divide is 0 without any
-    enumeration when _order_step proves it zero.  The full engine finds
-    no candidate there, so values and refusals are the same either way.
+    n^3 per bit of d, is charged to the selection budget.  An order that
+    _order_step proves zero is 0 without any enumeration or charge.
     """
-    budget = budget or Budget()
-    if (d > h.m and d % h.m
-            and _closed_form_work(h.m, h.n, len(h.edges), d) <= budget.max_selections
-            and _order_step(h, d) == h.m):
-        return Fraction(0)
-    if h.m == 2 and d >= 0:
-        _check_graph_budget(h.n, d, budget)
-        return Fraction(_graph_trace(h, d))
-    return sum(vertex_trace_terms(h, d, budget), Fraction(0))
+    if d < 0:
+        raise ValueError("trace order d must be >= 0")
+    values, refusal = _trace_range(h, d, d, budget or Budget())
+    if refusal:
+        raise refusal
+    return next(values)
 
 
 def _closed_form_work(m: int, n: int, q: int, d: int) -> int:
@@ -104,39 +107,91 @@ def _max_admitted_order(h: UniformHypergraph, budget: Budget) -> int:
     return d
 
 
-def _check_graph_budget(n: int, d: int, budget: Budget) -> None:
-    if _closed_form_work(2, n, 0, d) > budget.max_selections:
-        raise FeasibilityError(
-            f"trace enumeration infeasible (n={n}, m=2, d={d}): matrix-power "
-            f"work n^3*bits(d) exceeds {budget.max_selections}"
-        )
+def _infeasible(n: int, m: int, d: int, budget: Budget) -> FeasibilityError:
+    work = "matrix-power work n^3*bits(d)" if m == 2 else "predicted selection count"
+    return FeasibilityError(
+        f"trace enumeration infeasible (n={n}, m={m}, d={d}): "
+        f"{work} exceeds {budget.max_selections}"
+    )
 
 
-def _graph_trace(h: UniformHypergraph, d: int) -> int:
-    """tr(A^d) exactly, by the Chinese remainder theorem over float64
-    matrix powers modulo pairwise coprime p with n p^2 < 2^53, so every
-    matrix product is an exact integer before it is reduced mod p."""
+def _trace_range(
+    h: UniformHypergraph, lo: int, hi: int, budget: Budget
+) -> tuple[Iterator[Fraction], FeasibilityError | None]:
+    """The traces of orders lo..hi from one pass, and the refusal that ends
+    them early.
+
+    Orders that _order_step proves zero are 0, and nothing is charged for
+    them.  Every other order is charged first its closed-form work, then
+    (for m >= 3) the predicted tables of its sigma candidates, which one
+    depth-first pass enumerates for the whole range.  All of it is charged
+    before any trace is formed: the iterator yields orders lo, lo+1, ...
+    up to the first refused order, and the FeasibilityError of that order
+    is returned beside it (None when every order is admitted).
+    """
+    m, n, q = h.m, h.n, len(h.edges)
+    step = _order_step(h, min(hi, _max_admitted_order(h, budget)))
+    orders = [d for d in range(max(lo, 1), hi + 1) if d % step == 0]
+    end = next((d for d in orders if _closed_form_work(m, n, q, d) > budget.max_selections),
+               hi + 1)
+    ctx = _EnumerationContext(h)
+    candidates: dict[int, list[tuple[int, ...]]] = {}
+    if m > 2 and q and orders and orders[0] < end:
+        candidates, end = _sigma_range(ctx, orders[0], end - 1, budget)
+    refusal = _infeasible(n, m, end, budget) if end <= hi else None
+
+    def values() -> Iterator[Fraction]:
+        if m == 2:
+            done = [d for d in orders if d < end]
+            traces = dict(zip(done, _graph_trace(h, done, step)))
+        else:
+            scale = (m - 1) ** n
+            traces = {d: sum(_accumulate(ctx, c), Fraction(0)) * scale
+                      for d, c in candidates.items()}
+        for d in range(lo, end):
+            yield Fraction(h.eigenvalue_count() if d == 0 else traces.get(d, 0))
+
+    return values(), refusal
+
+
+def _graph_trace(h: UniformHypergraph, orders: list[int], step: int) -> Iterator[int]:
+    """tr(A^d) exactly for each of the ascending orders, all multiples of
+    step (1 or 2), by the Chinese remainder theorem over float64 matrix
+    powers modulo pairwise coprime p with n p^2 < 2^53, so every matrix
+    product is an exact integer before it is reduced mod p.  Each modulus
+    keeps its power of A and multiplies it by A^step from one order to the
+    next; a modulus first needed at order d gets A^d by repeated squaring."""
     n = h.n
     adj = np.zeros((n, n))
     for u, v in h.edges:
         adj[u - 1, v - 1] = adj[v - 1, u - 1] = 1.0
-    bound = n * int(adj.sum(axis=0).max(initial=0)) ** d  # tr(A^d) <= n Delta^d
+    degree = int(adj.sum(axis=0).max(initial=0))
+    stride = np.linalg.matrix_power(adj, step)  # exact: entries below n
     p = math.isqrt(2**53 // n)
-    value, modulus = 0, 1
-    while modulus <= bound:
-        if math.gcd(p, modulus) == 1:
-            power, base, e = np.identity(n), adj, d
-            while e:
-                if e & 1:
-                    power = power @ base % p
-                e >>= 1
-                if e:
-                    base = base @ base % p
+    powers: list[tuple[int, int, np.ndarray]] = []  # (p, d, A^d mod p)
+    for d in orders:
+        bound = n * degree**d  # tr(A^d) <= n Delta^d
+        value, modulus, i = 0, 1, 0
+        while modulus <= bound:
+            if i == len(powers):  # modulus is the product of all of them
+                while math.gcd(p, modulus) != 1:
+                    p -= 1
+                powers.append((p, 0, np.identity(n)))
+                p -= 1
+            prime, e, power = powers[i]
+            base, k = stride % prime, (d - e) // step
+            while k:  # power @ base^k mod prime, by repeated squaring
+                if k & 1:
+                    power = power @ base % prime
+                k >>= 1
+                if k:
+                    base = base @ base % prime
+            powers[i] = (prime, d, power)
             residue = int(np.trace(power))
-            value += modulus * ((residue - value) * pow(modulus, -1, p) % p)
-            modulus *= p
-        p -= 1
-    return value
+            value += modulus * ((residue - value) * pow(modulus, -1, prime) % prime)
+            modulus *= prime
+            i += 1
+        yield value
 
 
 def trace_sequence(
@@ -144,30 +199,19 @@ def trace_sequence(
     max_d: int,
     budget: Budget | None = None,
 ) -> TraceSequence:
-    """Traces of all orders 0..max_d (the spectral power sums, by order).
+    """Traces of all orders 0..max_d (the spectral power sums, by order):
+    the order range [0, max_d].
 
-    The selection budget of every order is checked before any order is
-    computed, so a request that some order cannot meet is refused in
-    milliseconds rather than after the cheaper orders.  The orders
-    _order_step proves zero are 0 without being checked or computed.
+    Every order is charged to the budget before any is computed, so a
+    request that some order cannot meet is refused before the cheaper
+    orders are formed.  The orders _order_step proves zero are 0 without
+    being charged or computed.
     """
     if max_d < 0:
         raise ValueError("max_d must be >= 0")
-    budget = budget or Budget()
-    step = _order_step(h, min(max_d, _max_admitted_order(h, budget)))
-    orders = range(0, max_d + 1, step)
-    if h.m == 2:
-        _check_graph_budget(h.n, orders[-1], budget)  # the work grows with d
-    elif h.edges:
-        # trace_d enumerates each order's candidates again: it stays the one
-        # per-order entry point, and the enumeration is a small share of an
-        # order's work (3-26% on the n=4 inputs, the least on the costliest)
-        ctx = _EnumerationContext(h)
-        for d in orders[1:]:
-            _sigma_candidates(ctx, d, budget)
-    values = [Fraction(0)] * (max_d + 1)
-    for d in orders:
-        values[d] = trace_d(h, d, budget)
+    values, refusal = _trace_range(h, 0, max_d, budget or Budget())
+    if refusal:
+        raise refusal
     return TraceSequence(h.m, h.n, tuple(values))
 
 
@@ -343,12 +387,13 @@ def vertex_trace_terms(
     if not h.edges:
         return tuple([Fraction(0)] * h.n)
 
+    if _closed_form_work(h.m, h.n, len(h.edges), d) > budget.max_selections:
+        raise _infeasible(h.n, h.m, d, budget)
     ctx = _EnumerationContext(h)
-    candidates = _sigma_candidates(ctx, d, budget)
-    if not candidates:
-        return tuple([Fraction(0)] * h.n)
-
-    acc = _accumulate(ctx, candidates)
+    candidates, end = _sigma_range(ctx, d, d, budget)
+    if end == d:
+        raise _infeasible(h.n, h.m, d, budget)
+    acc = _accumulate(ctx, candidates.get(d, []))
     scale = (h.m - 1) ** h.n
     return tuple(a * scale for a in acc)
 
@@ -369,59 +414,73 @@ class _EnumerationContext:
         self.last_edge = [inc[-1] if inc else -1 for inc in self.incidence]
 
 
-def _sigma_candidates(ctx: _EnumerationContext, d: int, budget: Budget) -> list[tuple[int, ...]]:
-    """Per-edge pick totals sigma with sum d whose vertex totals are all
-    divisible by m (necessary for in/out balance), connected active support,
-    and cumulative predicted work within budget."""
+def _sigma_range(
+    ctx: _EnumerationContext, lo: int, hi: int, budget: Budget
+) -> tuple[dict[int, list[tuple[int, ...]]], int]:
+    """The sigma candidates of every order lo..hi, by order, from one
+    depth-first pass: per-edge pick totals sigma whose sum is the order,
+    whose vertex totals are all divisible by m (necessary for in/out
+    balance), and whose active edges are connected.  Each order's predicted
+    tables are charged to that order's budget.  Returns the candidates of
+    the orders below the first refused order, and that order (hi + 1 when
+    none is); orders past a refused one leave the search as soon as it is
+    found.  The last edge takes every total that keeps the sum in range,
+    and connectivity is decided once per set of active edges."""
     m, edges = ctx.m, ctx.edges
-    n_edges = len(edges)
-    infeasible = FeasibilityError(
-        f"trace enumeration infeasible (n={ctx.n}, m={ctx.m}, d={d}): "
-        f"predicted selection count exceeds {budget.max_selections}"
-    )
-    if _closed_form_work(m, ctx.n, n_edges, d) > budget.max_selections:
-        raise infeasible
-    finalize_at: list[list[int]] = [[] for _ in range(n_edges)]
-    for v, last in enumerate(ctx.last_edge):
-        if last >= 0:
-            finalize_at[last].append(v)
+    last = len(edges) - 1
+    finalize_at: list[list[int]] = [[] for _ in edges]
+    for v, e in enumerate(ctx.last_edge):
+        if e >= 0:
+            finalize_at[e].append(v)
     vertex_total = [0] * ctx.n
-    sigma = [0] * n_edges
-    out: list[tuple[int, ...]] = []
-    predicted = 0
+    sigma = [0] * len(edges)
+    found: dict[int, list[tuple[int, ...]]] = {}
+    charged: dict[int, int] = {}
+    connected: dict[int, bool] = {}  # by active edges, as a bit mask
+    end = hi + 1
 
-    def rec(i: int, remaining: int) -> None:
-        nonlocal predicted
-        if i == n_edges - 1:
-            choices = [remaining]
-        elif finalize_at[i]:
+    def rec(i: int, total: int, active: int) -> None:
+        nonlocal end
+        final = finalize_at[i]  # never empty at the last edge
+        if i == last:
+            first = max(0, lo - total)
+            choices = range(first + -(vertex_total[final[0]] + first) % m, end - total, m)
+        elif final:
             # a vertex whose total is final here fixes s modulo m
-            choices = range(-vertex_total[finalize_at[i][0]] % m, remaining + 1, m)
+            choices = range(-vertex_total[final[0]] % m, end - total, m)
         else:
-            choices = range(remaining + 1)
+            choices = range(end - total)
         for s in choices:
+            if total + s >= end:
+                break  # an order at or below this sum was refused meanwhile
             sigma[i] = s
             for v in edges[i]:
                 vertex_total[v] += s
-            if all(vertex_total[v] % m == 0 for v in finalize_at[i]):
-                if i == n_edges - 1:
-                    if _active_connected(edges, sigma):
-                        cand = tuple(sigma)
-                        predicted += _predicted_tables(cand, m)
-                        if predicted > budget.max_selections:
-                            raise infeasible
-                        out.append(cand)
+            if all(vertex_total[v] % m == 0 for v in final):
+                support = active | 1 << i if s else active
+                if i < last:
+                    rec(i + 1, total + s, support)
                 else:
-                    rec(i + 1, remaining - s)
+                    ok = connected.get(support)
+                    if ok is None:
+                        ok = connected[support] = _active_connected(edges, sigma)
+                    if ok:
+                        d = total + s
+                        work = charged.get(d, 0) + _predicted_tables(sigma, m)
+                        if work > budget.max_selections:
+                            end = d
+                        else:
+                            charged[d] = work
+                            found.setdefault(d, []).append(tuple(sigma))
             for v in edges[i]:
                 vertex_total[v] -= s
         sigma[i] = 0
 
-    rec(0, d)
-    return out
+    rec(0, 0, 0)
+    return {d: c for d, c in found.items() if d < end}, end
 
 
-def _predicted_tables(sigma: tuple[int, ...], m: int) -> int:
+def _predicted_tables(sigma: list[int], m: int) -> int:
     pred = 1
     for s in sigma:
         if s:
@@ -515,28 +574,31 @@ def _sum_over_tables(
     consistent with sigma and s, in integers.
 
     trees(x) counts the arborescences of the split's arc multiset towards
-    the smallest active vertex: the determinant of its Laplacian with that
-    vertex's row and column removed.  The out-degrees (m-1) s_v fix the
-    Laplacian's diagonal, so it is set once here, and each pick x[v,e] only
-    moves the off-diagonal entries of row v; the recursion applies a pick on
-    the way down and takes it back on backtrack.
+    the smallest active vertex, the root: the determinant of its Laplacian
+    with the root's row and column removed, which is the only part of the
+    Laplacian kept.  The out-degrees (m-1) s_v fix its diagonal, so it is
+    set once here, and each pick x[v,e] only moves the off-diagonal entries
+    of row v; the recursion applies a pick on the way down and takes it
+    back on backtrack.
     """
     m, edges = ctx.m, ctx.edges
     support = [v for v in range(ctx.n) if s[v]]
-    index = {v: i for i, v in enumerate(support)}
-    lap = [[0] * len(support) for _ in support]
-    for i, v in enumerate(support):
+    root = support[0]
+    index = {v: i for i, v in enumerate(support[1:])}
+    lap = [[0] * len(index) for _ in index]
+    for v, i in index.items():
         lap[i][i] = (m - 1) * s[v]
     active = [i for i, se in enumerate(sigma) if se > 0]
     # per active edge, one split step per vertex: the vertex, how much it
-    # can still pick from the edges after this one, its Laplacian row and
-    # the columns of the edge's other vertices
+    # can still pick from the edges after this one, its reduced Laplacian
+    # row and the columns of the edge's other vertices (none for the root)
     steps: list[list[tuple[int, int, list[int], list[int]]]] = []
     running = [0] * ctx.n
     for e_idx in reversed(active):
         e = edges[e_idx]
         steps.append([
-            (v, running[v], lap[index[v]], [index[u] for u in e if u != v])
+            (v, running[v], lap[index[v]] if v != root else [],
+             [index[u] for u in e if u != v and u != root] if v != root else [])
             for v in e
         ])
         for v in e:
@@ -544,42 +606,70 @@ def _sum_over_tables(
     steps.reverse()
     last = m - 1
     remaining = list(s)
+    det = _DETERMINANTS[len(lap)] if len(lap) < len(_DETERMINANTS) else _det_copy
     total = 0
 
     def edge_rec(pos: int, weight: int) -> None:
         nonlocal total
         if pos == len(active):
-            total += weight * _det_bareiss([row[1:] for row in lap[1:]])
+            total += weight * det(lap)
             return
         e_idx = active[pos]
-        owed = sum(remaining[v] for v in edges[e_idx])
+        owed = 0
+        for v in edges[e_idx]:
+            owed += remaining[v]
         split_rec(steps[pos], pos, 0, sigma[e_idx], owed, weight)
 
     def split_rec(step, pos, vi, left, owed, weight) -> None:
         # left: picks of this edge still to hand out among vertices vi..;
         # owed: what those vertices must still pick in total.  A vertex
         # takes at least what the later edges cannot supply it, and leaves
-        # no more than the edge's later vertices can take.
+        # no more than the edge's later vertices can take; the last vertex
+        # takes what is left.
         v, cap, row, cols = step[vi]
         need = remaining[v]
+        if vi == last:
+            if left > need or need - left > cap:
+                return
+            remaining[v] = need - left
+            for c in cols:
+                row[c] -= left
+            edge_rec(pos + 1, weight)
+            for c in cols:
+                row[c] += left
+            remaining[v] = need
+            return
         owed -= need
-        lo = max(0, need - cap, left - owed)
-        hi = min(left, need)
-        for x in range(lo, hi + 1):
+        for x in range(max(0, need - cap, left - owed), min(left, need) + 1):
             remaining[v] = need - x
             for c in cols:
                 row[c] -= x
-            if vi == last:  # x == left here
-                edge_rec(pos + 1, weight)
-            else:
-                split_rec(step, pos, vi + 1, left - x, owed,
-                          weight * math.comb(left, x))
+            split_rec(step, pos, vi + 1, left - x, owed, weight * math.comb(left, x))
             for c in cols:
                 row[c] += x
         remaining[v] = need
 
     edge_rec(0, 1)
     return total
+
+
+def _det3(a: list[list[int]]) -> int:
+    (p, q, r), (s, t, u), (v, w, x) = a
+    return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
+
+
+# determinants of sizes 0..3 in closed form, and Bareiss on a copy past
+# them; none of them changes its argument
+_DETERMINANTS = (
+    lambda a: 1,
+    lambda a: a[0][0],
+    lambda a: a[0][0] * a[1][1] - a[0][1] * a[1][0],
+    _det3,
+)
+
+
+def _det_copy(a: list[list[int]]) -> int:
+    return _det_bareiss([row[:] for row in a])
 
 
 def _det_bareiss(a: list[list[int]]) -> int:

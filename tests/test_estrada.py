@@ -200,23 +200,24 @@ def test_series_tail_is_sharp_past_the_peak():
 
 
 def test_series_enumerates_only_orders_that_can_be_nonzero(monkeypatch):
-    """On an input with an m-symmetry labelling, trace_d is asked once for
-    every order summed, but the engine runs only at orders up to m and at
-    the multiples of m; the labelling is found once for the whole series."""
-    asked, enumerated = [], []
+    """On an input with an m-symmetry labelling, the series takes all its
+    orders from one enumeration pass, and no order above m that m does not
+    divide has a candidate or is accumulated; the labelling is found once
+    for the whole series."""
+    passes, accumulated = [], []
+    enumerate_range, accumulate = traces._sigma_range, traces._accumulate
 
-    def record(h, d, **kwargs):
-        asked.append(d)
-        return trace_d(h, d, **kwargs)
+    def record_pass(ctx, lo, hi, budget):
+        found, end = enumerate_range(ctx, lo, hi, budget)
+        passes.append((lo, hi, sorted(found)))
+        return found, end
 
-    engine = traces.vertex_trace_terms
+    def record_accumulate(ctx, candidates):
+        accumulated.append(sum(candidates[0]))
+        return accumulate(ctx, candidates)
 
-    def record_engine(h, d, *args):
-        enumerated.append(d)
-        return engine(h, d, *args)
-
-    monkeypatch.setattr(sys.modules["hyperee.estrada"], "trace_d", record)
-    monkeypatch.setattr(traces, "vertex_trace_terms", record_engine)
+    monkeypatch.setattr(traces, "_sigma_range", record_pass)
+    monkeypatch.setattr(traces, "_accumulate", record_accumulate)
     monkeypatch.setattr(
         sys.modules["hyperee.estrada"], "spectral_radius",
         lambda h: SpectralRadiusEstimate(1.5, 1.5, 0, "power-iteration"),
@@ -225,8 +226,11 @@ def test_series_enumerates_only_orders_that_can_be_nonzero(monkeypatch):
     h = CORPUS["path-3-3"]
     res = ee_trace_series(h, 1e-8)
     assert traces._rotation_labelling.cache_info().misses == 1
-    assert res.converged and asked == list(range(res.terms_used))
-    assert enumerated == [d for d in asked if d <= 3 or d % 3 == 0]
+    assert res.converged
+    [(lo, hi, found)] = passes
+    assert (lo, hi) == (3, res.terms_used - 1)
+    assert found and all(d % 3 == 0 for d in found)
+    assert accumulated == found
     # the tail is taken at the next order that can be nonzero
     nxt = res.terms_used + (-res.terms_used % 3)
     assert nxt > res.terms_used
@@ -519,7 +523,8 @@ def test_bounds_take_tr2_without_the_trace_engine(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("bounds_refined called the trace engine")
 
-    monkeypatch.setattr(estrada, "trace_d", refuse)
+    monkeypatch.setattr(estrada, "_trace_range", refuse)
+    monkeypatch.setattr(traces, "_trace_range", refuse)
     assert [bounds_refined(s, h) for s, h in cases] == want
 
 

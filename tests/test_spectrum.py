@@ -120,6 +120,17 @@ def test_hyperstar_multiplicities_total():
         assert sum(c) == (m - 1) ** (q * (m - 1))
 
 
+def test_hyperstar_multiplicities_one_pass_matches_binomial_form():
+    """The one-pass recurrence gives C(q, r) a^r b^(q-r) exactly, with
+    a = m^(m-2) and b = (m-1)^(m-1) - a, also for m = 2, where b = 0."""
+    for m in range(2, 6):
+        a = m ** (m - 2)
+        b = (m - 1) ** (m - 1) - a
+        for q in range(1, 61):
+            want = [math.comb(q, r) * a**r * b ** (q - r) for r in range(q + 1)]
+            assert hyperstar_multiplicities(m, q) == want, (m, q)
+
+
 def test_hyperstar_multiplicities_rejects_bad_args():
     with pytest.raises(ValueError):
         hyperstar_multiplicities(1, 3)

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import itertools
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import closed_walk_trace_terms, has_rotation_labelling, matrix_power_sums
+from _oracles import (
+    closed_walk_trace_terms,
+    fraction_determinant,
+    has_rotation_labelling,
+    matrix_power_sums,
+)
+from hyperee import traces
 from hyperee.hypergraph import UniformHypergraph, from_edge_list
-from hyperee.traces import _rotation_labelling, trace_d, vertex_trace_terms
+from hyperee.traces import Budget, _rotation_labelling, trace_d, vertex_trace_terms
 
 PROPERTY_SETTINGS = settings(
     max_examples=30, deadline=None, derandomize=True, database=None
@@ -76,3 +83,97 @@ def test_rotation_labelling_matches_search(h):
             if d % h.m:
                 assert sum(vertex_trace_terms(h, d)) == 0
                 assert trace_d(h, d) == 0
+
+
+def _range(h: UniformHypergraph, lo: int, hi: int) -> list:
+    values, refusal = traces._trace_range(h, lo, hi, Budget())
+    assert refusal is None
+    return list(values)
+
+
+small_hypergraphs = st.sampled_from([3, 4]).flatmap(lambda m: hypergraphs(m, 6, 4))
+
+
+@PROPERTY_SETTINGS
+@given(small_hypergraphs, st.integers(0, 12))
+def test_range_equals_per_order_traces(h, lo):
+    """One pass over orders lo..12 gives what each order alone gives."""
+    assert _range(h, lo, 12) == [trace_d(h, d) for d in range(lo, 13)]
+
+
+# the brute-force oracle takes up to half a second per input at order 6
+@settings(PROPERTY_SETTINGS, max_examples=10)
+@given(small_hypergraphs)
+@example(from_edge_list(3, 5, [(1, 3, 4), (2, 3, 4), (3, 4, 5)]))
+def test_range_equals_closed_walk_oracle(h):
+    """The range's traces up to order 6 are the sums of the brute-force
+    closed-walk shares."""
+    want = [sum(closed_walk_trace_terms(h, d)) for d in range(7)]
+    assert _range(h, 0, 6) == want
+
+
+@PROPERTY_SETTINGS
+@given(small_hypergraphs, st.randoms(use_true_random=False))
+def test_range_invariant_under_relabelling(h, rng):
+    """Traces are spectral: a relabelling of the vertices keeps them."""
+    perm = list(range(1, h.n + 1))
+    rng.shuffle(perm)
+    moved = from_edge_list(h.m, h.n, [tuple(perm[v - 1] for v in e) for e in h.edges])
+    assert _range(moved, 0, 12) == _range(h, 0, 12)
+
+
+@PROPERTY_SETTINGS
+@given(small_hypergraphs, st.integers(1, 9))
+@example(from_edge_list(3, 6, [(1, 2, 3), (4, 5, 6), (1, 4, 5)]), 1)
+def test_range_candidates_match_brute_force(h, lo):
+    """One pass over orders lo..9 finds, order by order, exactly the pick
+    totals a search of every vector finds: vertex totals divisible by m and
+    the active edges connected (disjoint edges are not, so they are never
+    charged to the budget)."""
+    assume(h.edges)
+
+    def connected(active):
+        seen, stack = set(active[0]), [active[0]]
+        while stack:
+            e = stack.pop()
+            for f in active:
+                if f not in stack and set(f) & seen and not set(f) <= seen:
+                    seen |= set(f)
+                    stack.append(f)
+        return seen == set().union(*active)
+
+    want: dict[int, list] = {}
+    for sigma in itertools.product(range(10), repeat=len(h.edges)):
+        totals = [sum(s for s, e in zip(sigma, h.edges) if v in e) for v in range(1, h.n + 1)]
+        active = [e for s, e in zip(sigma, h.edges) if s]
+        if lo <= sum(sigma) <= 9 and all(t % h.m == 0 for t in totals) and connected(active):
+            want.setdefault(sum(sigma), []).append(sigma)
+    found, end = traces._sigma_range(traces._EnumerationContext(h), lo, 9, Budget())
+    assert end == 10
+    assert {d: sorted(c) for d, c in found.items()} == want
+
+
+@st.composite
+def reduced_laplacians(draw, size: int) -> list[list[int]]:
+    """The out-degree Laplacian of a random multi-digraph on size + 1
+    vertices with vertex 0's row and column removed: a Z-matrix whose rows
+    sum to >= 0."""
+    n = size + 1
+    arcs = [[0 if u == v else draw(st.integers(0, 3)) for v in range(n)] for u in range(n)]
+    lap = [[(sum(row) if u == v else -row[v]) for v in range(n)] for u, row in enumerate(arcs)]
+    return [row[1:] for row in lap[1:]]
+
+
+@pytest.mark.parametrize("size", range(7))
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(data=st.data())
+def test_determinants_match_rational_elimination(size, data):
+    """The closed forms (sizes 0..3) and Bareiss (every size) agree with
+    elimination over the rationals and leave their argument unchanged."""
+    a = data.draw(reduced_laplacians(size))
+    want = fraction_determinant(a)
+    kept = [row[:] for row in a]
+    if size < len(traces._DETERMINANTS):
+        assert traces._DETERMINANTS[size](a) == want
+    assert traces._det_copy(a) == want
+    assert a == kept

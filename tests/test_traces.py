@@ -205,6 +205,20 @@ def _reduced_balanced_laplacian(rng: random.Random, n: int) -> list[list[int]]:
     return [row[1:] for row in lap[1:]]
 
 
+def test_graph_range_carries_matrix_powers():
+    """Over a range each modulus carries its power of A from order to order
+    (A^2 on a bipartite graph), and moduli join as the orders grow; the
+    traces stay exact on K_12 and on a graph star, over consecutive orders
+    and over uneven gaps."""
+    k12 = from_edge_list(2, 12, itertools.combinations(range(1, 13), 2))
+    star = gen_hyperstar(2, 30)
+    for h, step, some in ((k12, 1, [5, 6, 17, 40]), (star, 2, [2, 8, 10, 40])):
+        want = matrix_power_sums(h, 40)
+        assert list(trace_sequence(h, 40).values) == want
+        assert [trace_d(h, d) for d in range(41)] == want
+        assert list(traces._graph_trace(h, some, step)) == [want[d] for d in some]
+
+
 def test_det_bareiss_matches_rational_elimination():
     """Reduced Laplacians of balanced digraphs, disconnected ones included,
     against exact rational elimination; a zero pivot means determinant 0."""
@@ -339,25 +353,42 @@ def test_trace_sequence_equals_the_engine():
 
 
 def test_trace_sequence_skips_certified_orders(monkeypatch):
-    """A labelled input is neither budget-checked nor traced at the orders
-    m does not divide."""
-    checked, traced = [], []
-    enumerate_orders, trace_order = traces._sigma_candidates, traces.trace_d
+    """A labelled input is enumerated in one pass and accumulated only at
+    the orders m divides, and it is not charged at the others; a refused
+    order stops trace_sequence before any order is accumulated."""
+    passes, accumulated = [], []
+    enumerate_range, accumulate = traces._sigma_range, traces._accumulate
 
-    def record_check(ctx, d, budget):
-        checked.append(d)
-        return enumerate_orders(ctx, d, budget)
+    def record_pass(ctx, lo, hi, budget):
+        found, end = enumerate_range(ctx, lo, hi, budget)
+        passes.append((lo, hi, sorted(found), end))
+        return found, end
 
-    def record_trace(h, d, *args):
-        traced.append(d)
-        return trace_order(h, d, *args)
+    def record_accumulate(ctx, candidates):
+        accumulated.append(sum(candidates[0]))
+        return accumulate(ctx, candidates)
 
-    monkeypatch.setattr(traces, "_sigma_candidates", record_check)
-    monkeypatch.setattr(traces, "trace_d", record_trace)
-    ts = trace_sequence(CORPUS["path-3-2"], 12)
-    assert traced == [0, 3, 6, 9, 12]
-    assert set(checked) == {3, 6, 9, 12}
+    monkeypatch.setattr(traces, "_sigma_range", record_pass)
+    monkeypatch.setattr(traces, "_accumulate", record_accumulate)
+    h = CORPUS["path-3-2"]
+    ts = trace_sequence(h, 12)
+    assert passes == [(3, 12, [3, 6, 9, 12], 13)]
+    assert accumulated == [3, 6, 9, 12]
     assert ts.values[4] == 0
+    # order 12 predicts 2,066 tables and orders 3..9 at most 670
+    passes.clear()
+    accumulated.clear()
+    with pytest.raises(FeasibilityError, match="d=12"):
+        trace_sequence(h, 12, budget=Budget(max_selections=1000))
+    assert passes == [(3, 12, [3, 6, 9], 12)]
+    assert accumulated == []
+    # with 10 edges, orders 3 and 4 have 220 and 715 sigma vectors, order 5
+    # has 2,002: order 5 would be refused if it were charged
+    path = gen_hyperpath(3, 10)
+    tight = Budget(max_selections=1000)
+    ts = trace_sequence(path, 5, budget=tight)
+    assert ts.values == trace_sequence(path, 5).values
+    assert ts.values[5] == trace_d(path, 5, budget=tight) == 0
 
 
 def test_rotation_labelling_joins_prime_powers():
