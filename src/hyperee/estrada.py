@@ -48,7 +48,7 @@ from .traces import (
     FeasibilityError,
     _max_admitted_order,
     _order_step,
-    _trace_range,
+    trace_d,
 )
 
 IMAG_DISCARD_LIMIT = 1e-8
@@ -66,7 +66,7 @@ class EstradaResult:
     trace series stopped early by the feasibility guard, in which case
     error_bound still honestly covers the missing tail.  terms_used, for trace-series, is the number of orders summed
     (orders 0..terms_used-1); orders certified zero count as summed,
-    though the trace engine returns them without any enumeration.
+    though trace_d returns them without any enumeration.
     """
 
     value: float
@@ -135,14 +135,13 @@ def ee_trace_series(
     order >= D that can be nonzero, which bounds everything left because
     |Tr_d| <= k * rho^d; rho is the power-iteration upper end of the
     spectral radius.  The tail needs no trace, so D is fixed before the
-    first one, and it is capped at one past the highest order
-    _max_admitted_order admits.  Orders 0..D-1 then come from one pass of
-    the trace engine over that range, and the orders _order_step proves
-    zero cost no enumeration.  If the enumeration becomes infeasible below
-    D, or the cap cuts the series short, the partial sum is returned with
-    converged=False and the same honest tail bound.  When no order the
-    budget admits could bring the tail under target_tol, that happens at
-    the degree bound, without the power iteration.
+    first one, and it is capped at budget.max_degree + 1.  Orders that
+    _order_step proves zero cost trace_d no enumeration.  If the trace
+    enumeration becomes infeasible below D, or the cap cuts the series
+    short, the partial sum is returned with converged=False and the same
+    honest tail bound.  When no order the budget admits could bring the
+    tail under target_tol, that happens at the degree bound, without the
+    power iteration.
     """
     if not target_tol > 0:
         raise ValueError("target_tol must be positive")
@@ -165,14 +164,16 @@ def ee_trace_series(
         return _series_tail(k, rho, d + (-d % step))
 
     stop = 0
-    while stop <= top and tail(stop) > target_tol:
+    while stop <= budget.max_degree and tail(stop) > target_tol:
         stop += 1
-    values, _ = _trace_range(h, 0, stop - 1, budget)
     acc, factorial_d, d = Fraction(0), 1, 0  # factorial_d is d!
-    for value in values:
-        acc += value / factorial_d
-        d += 1
-        factorial_d *= d
+    try:
+        while d < stop:
+            acc += trace_d(h, d, budget=budget) / factorial_d
+            d += 1
+            factorial_d *= d
+    except FeasibilityError:
+        pass
     bound = tail(d)
     return EstradaResult(
         float(acc), "trace-series", bound, terms_used=d,

@@ -14,12 +14,11 @@ summed in integers against a reduced Laplacian kept up to date pick by pick,
 and the per-vertex shares are summed in integers over one common
 denominator.
 
-Every entry point computes a range of orders in one pass (trace_d is the
-range [d, d], trace_sequence the range [0, max_d], and the trace series the
-orders below its stopping order): one depth-first search finds the pick
-totals of every order in the range, each order is charged to its own
-budget before any trace is formed, and the range ends at the first order
-the budget refuses.
+trace_d and trace_sequence compute a range of orders in one pass (the
+range [d, d], and the range [0, max_d]): one depth-first search finds the
+pick totals of every order in the range, each order is charged to its own
+budget before any trace is formed, and the first order the budget refuses
+raises FeasibilityError for the whole range.
 
 Graphs (m = 2) take their traces tr(A^d) from matrix powers instead, taken
 in floating point modulo several moduli small enough to keep every product
@@ -77,15 +76,17 @@ def trace_d(
     Order 0 is the eigenvalue count n(m-1)^(n-1) by convention.  Orders
     1..m-1 vanish; order m equals m^(m-1) (m-1)^(n-m) |E|.  For graphs
     (m = 2) this is tr(A^d), from exact matrix powers whose work,
-    n^3 per bit of d, is charged to the selection budget.  An order that
-    _order_step proves zero is 0 without any enumeration or charge.
+    n^3 per bit of d, is charged to the selection budget.  An order past
+    that closed-form budget is refused even where _order_step proves it
+    zero; an order the budget admits that it proves zero is 0 without any
+    enumeration or further charge.
     """
     if d < 0:
         raise ValueError("trace order d must be >= 0")
-    values, refusal = _trace_range(h, d, d, budget or Budget())
-    if refusal:
-        raise refusal
-    return next(values)
+    budget = budget or Budget()
+    if d and _closed_form_work(h.m, h.n, len(h.edges), d) > budget.max_selections:
+        raise _infeasible(h.n, h.m, d, budget)
+    return _trace_range(h, d, d, budget)[0]
 
 
 def _closed_form_work(m: int, n: int, q: int, d: int) -> int:
@@ -97,11 +98,12 @@ def _closed_form_work(m: int, n: int, q: int, d: int) -> int:
     return math.comb(d + q - 1, q - 1) if q else 0
 
 
-def _max_admitted_order(h: UniformHypergraph, budget: Budget) -> int:
-    """The highest order up to budget.max_degree that _closed_form_work
-    admits; the work grows with d, so no higher order can be computed."""
+def _max_admitted_order(h: UniformHypergraph, budget: Budget, limit: float = math.inf) -> int:
+    """The highest order up to budget.max_degree (and up to limit) that
+    _closed_form_work admits; the work grows with d, so no higher order
+    can be computed."""
     d = 0
-    while (d < budget.max_degree
+    while (d < min(budget.max_degree, limit)
            and _closed_form_work(h.m, h.n, len(h.edges), d + 1) <= budget.max_selections):
         d += 1
     return d
@@ -115,43 +117,35 @@ def _infeasible(n: int, m: int, d: int, budget: Budget) -> FeasibilityError:
     )
 
 
-def _trace_range(
-    h: UniformHypergraph, lo: int, hi: int, budget: Budget
-) -> tuple[Iterator[Fraction], FeasibilityError | None]:
-    """The traces of orders lo..hi from one pass, and the refusal that ends
-    them early.
+def _trace_range(h: UniformHypergraph, lo: int, hi: int, budget: Budget) -> list[Fraction]:
+    """The traces of orders lo..hi, from one pass.
 
     Orders that _order_step proves zero are 0, and nothing is charged for
-    them.  Every other order is charged first its closed-form work, then
-    (for m >= 3) the predicted tables of its sigma candidates, which one
-    depth-first pass enumerates for the whole range.  All of it is charged
-    before any trace is formed: the iterator yields orders lo, lo+1, ...
-    up to the first refused order, and the FeasibilityError of that order
-    is returned beside it (None when every order is admitted).
+    them.  Every other order is charged before any trace is formed, and
+    the first one refused raises FeasibilityError.  For m >= 3 one
+    depth-first pass finds the sigma candidates of the whole range and
+    charges each order its closed-form work and its predicted tables; a
+    graph's work grows with the order, so it is charged at its top order.
     """
-    m, n, q = h.m, h.n, len(h.edges)
-    step = _order_step(h, min(hi, _max_admitted_order(h, budget)))
+    m, n = h.m, h.n
+    step = _order_step(h, _max_admitted_order(h, budget, hi))
     orders = [d for d in range(max(lo, 1), hi + 1) if d % step == 0]
-    end = next((d for d in orders if _closed_form_work(m, n, q, d) > budget.max_selections),
-               hi + 1)
-    ctx = _EnumerationContext(h)
-    candidates: dict[int, list[tuple[int, ...]]] = {}
-    if m > 2 and q and orders and orders[0] < end:
-        candidates, end = _sigma_range(ctx, orders[0], end - 1, budget)
-    refusal = _infeasible(n, m, end, budget) if end <= hi else None
-
-    def values() -> Iterator[Fraction]:
-        if m == 2:
-            done = [d for d in orders if d < end]
-            traces = dict(zip(done, _graph_trace(h, done, step)))
-        else:
-            scale = (m - 1) ** n
-            traces = {d: sum(_accumulate(ctx, c), Fraction(0)) * scale
-                      for d, c in candidates.items()}
-        for d in range(lo, end):
-            yield Fraction(h.eigenvalue_count() if d == 0 else traces.get(d, 0))
-
-    return values(), refusal
+    traces: dict[int, int | Fraction] = {}
+    if orders and m == 2:
+        if _closed_form_work(m, n, 0, orders[-1]) > budget.max_selections:
+            raise _infeasible(n, m, orders[-1], budget)
+        traces = dict(zip(orders, _graph_trace(h, orders, step)))
+    elif orders and h.edges:
+        ctx = _EnumerationContext(h)
+        candidates, end = _sigma_range(ctx, orders[0], orders[-1], budget)
+        refused = [d for d in orders if d >= end]  # end can be an order proved zero
+        if refused:
+            raise _infeasible(n, m, refused[0], budget)
+        scale = (m - 1) ** n
+        traces = {d: sum(_accumulate(ctx, c), Fraction(0)) * scale
+                  for d, c in candidates.items()}
+    return [Fraction(h.eigenvalue_count() if d == 0 else traces.get(d, 0))
+            for d in range(lo, hi + 1)]
 
 
 def _graph_trace(h: UniformHypergraph, orders: list[int], step: int) -> Iterator[int]:
@@ -209,10 +203,7 @@ def trace_sequence(
     """
     if max_d < 0:
         raise ValueError("max_d must be >= 0")
-    values, refusal = _trace_range(h, 0, max_d, budget or Budget())
-    if refusal:
-        raise refusal
-    return TraceSequence(h.m, h.n, tuple(values))
+    return TraceSequence(h.m, h.n, tuple(_trace_range(h, 0, max_d, budget or Budget())))
 
 
 def _order_step(h: UniformHypergraph, top: int) -> int:
@@ -386,9 +377,6 @@ def vertex_trace_terms(
         return tuple([share] * h.n)
     if not h.edges:
         return tuple([Fraction(0)] * h.n)
-
-    if _closed_form_work(h.m, h.n, len(h.edges), d) > budget.max_selections:
-        raise _infeasible(h.n, h.m, d, budget)
     ctx = _EnumerationContext(h)
     candidates, end = _sigma_range(ctx, d, d, budget)
     if end == d:
@@ -420,14 +408,17 @@ def _sigma_range(
     """The sigma candidates of every order lo..hi, by order, from one
     depth-first pass: per-edge pick totals sigma whose sum is the order,
     whose vertex totals are all divisible by m (necessary for in/out
-    balance), and whose active edges are connected.  Each order's predicted
-    tables are charged to that order's budget.  Returns the candidates of
-    the orders below the first refused order, and that order (hi + 1 when
-    none is); orders past a refused one leave the search as soon as it is
-    found.  The last edge takes every total that keeps the sum in range,
-    and connectivity is decided once per set of active edges."""
+    balance), and whose active edges are connected.  Each order is charged
+    its closed-form work, then the predicted tables of its candidates.
+    Returns the candidates of the orders below the first refused order,
+    and that order (hi + 1 when none is); orders past a refused one leave
+    the search as soon as it is found.  The last edge takes every total
+    that keeps the sum in range, and connectivity is decided once per set
+    of active edges."""
     m, edges = ctx.m, ctx.edges
     last = len(edges) - 1
+    end = next((d for d in range(lo, hi + 1)
+                if _closed_form_work(m, ctx.n, len(edges), d) > budget.max_selections), hi + 1)
     finalize_at: list[list[int]] = [[] for _ in edges]
     for v, e in enumerate(ctx.last_edge):
         if e >= 0:
@@ -437,7 +428,6 @@ def _sigma_range(
     found: dict[int, list[tuple[int, ...]]] = {}
     charged: dict[int, int] = {}
     connected: dict[int, bool] = {}  # by active edges, as a bit mask
-    end = hi + 1
 
     def rec(i: int, total: int, active: int) -> None:
         nonlocal end
@@ -476,7 +466,8 @@ def _sigma_range(
                 vertex_total[v] -= s
         sigma[i] = 0
 
-    rec(0, 0, 0)
+    if end > lo:
+        rec(0, 0, 0)
     return {d: c for d, c in found.items() if d < end}, end
 
 

@@ -200,22 +200,26 @@ def test_series_tail_is_sharp_past_the_peak():
 
 
 def test_series_enumerates_only_orders_that_can_be_nonzero(monkeypatch):
-    """On an input with an m-symmetry labelling, the series takes all its
-    orders from one enumeration pass, and no order above m that m does not
-    divide has a candidate or is accumulated; the labelling is found once
-    for the whole series."""
-    passes, accumulated = [], []
+    """On an input with an m-symmetry labelling, trace_d is asked once for
+    every order summed, but the engine enumerates only orders up to m and
+    the multiples of m, and accumulates only the multiples; the labelling
+    is found once for the whole series."""
+    asked, passes, accumulated = [], [], []
     enumerate_range, accumulate = traces._sigma_range, traces._accumulate
 
+    def record(h, d, **kwargs):
+        asked.append(d)
+        return trace_d(h, d, **kwargs)
+
     def record_pass(ctx, lo, hi, budget):
-        found, end = enumerate_range(ctx, lo, hi, budget)
-        passes.append((lo, hi, sorted(found)))
-        return found, end
+        passes.append((lo, hi))
+        return enumerate_range(ctx, lo, hi, budget)
 
     def record_accumulate(ctx, candidates):
         accumulated.append(sum(candidates[0]))
         return accumulate(ctx, candidates)
 
+    monkeypatch.setattr(sys.modules["hyperee.estrada"], "trace_d", record)
     monkeypatch.setattr(traces, "_sigma_range", record_pass)
     monkeypatch.setattr(traces, "_accumulate", record_accumulate)
     monkeypatch.setattr(
@@ -226,11 +230,9 @@ def test_series_enumerates_only_orders_that_can_be_nonzero(monkeypatch):
     h = CORPUS["path-3-3"]
     res = ee_trace_series(h, 1e-8)
     assert traces._rotation_labelling.cache_info().misses == 1
-    assert res.converged
-    [(lo, hi, found)] = passes
-    assert (lo, hi) == (3, res.terms_used - 1)
-    assert found and all(d % 3 == 0 for d in found)
-    assert accumulated == found
+    assert res.converged and asked == list(range(res.terms_used))
+    assert passes == [(d, d) for d in asked if d and (d <= 3 or d % 3 == 0)]
+    assert accumulated == [d for d in asked if d and d % 3 == 0]
     # the tail is taken at the next order that can be nonzero
     nxt = res.terms_used + (-res.terms_used % 3)
     assert nxt > res.terms_used
@@ -523,8 +525,7 @@ def test_bounds_take_tr2_without_the_trace_engine(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("bounds_refined called the trace engine")
 
-    monkeypatch.setattr(estrada, "_trace_range", refuse)
-    monkeypatch.setattr(traces, "_trace_range", refuse)
+    monkeypatch.setattr(estrada, "trace_d", refuse)
     assert [bounds_refined(s, h) for s, h in cases] == want
 
 

@@ -262,8 +262,13 @@ def test_graph_trace_sequence_refuses_before_any_order(monkeypatch):
         raise AssertionError("matrix powers started before the budget check")
 
     monkeypatch.setattr(traces, "_graph_trace", no_powers)
+    tight = Budget(max_selections=h.n**3 * 3)  # admits orders up to 7
     with pytest.raises(FeasibilityError, match="d=8"):
-        trace_sequence(h, 8, budget=Budget(max_selections=h.n**3 * 3))
+        trace_sequence(h, 8, budget=tight)
+    # the work grows with the order, so a range is charged at its top
+    triangle = from_edge_list(2, 3, [(1, 2), (2, 3), (1, 3)])
+    with pytest.raises(FeasibilityError, match="d=9"):
+        trace_sequence(triangle, 9, budget=Budget(max_selections=27 * 3))
 
 
 def test_rejects_negative_order():
@@ -355,7 +360,9 @@ def test_trace_sequence_equals_the_engine():
 def test_trace_sequence_skips_certified_orders(monkeypatch):
     """A labelled input is enumerated in one pass and accumulated only at
     the orders m divides, and it is not charged at the others; a refused
-    order stops trace_sequence before any order is accumulated."""
+    order stops trace_sequence before any order is accumulated.  trace_d
+    refuses its order past the closed-form budget, and trace_sequence the
+    first refused order among those it computes."""
     passes, accumulated = [], []
     enumerate_range, accumulate = traces._sigma_range, traces._accumulate
 
@@ -383,12 +390,24 @@ def test_trace_sequence_skips_certified_orders(monkeypatch):
     assert passes == [(3, 12, [3, 6, 9], 12)]
     assert accumulated == []
     # with 10 edges, orders 3 and 4 have 220 and 715 sigma vectors, order 5
-    # has 2,002: order 5 would be refused if it were charged
+    # has 2,002: order 5 would be refused if it were charged.  trace_d
+    # charges a lone order its closed-form work before any zero proof
     path = gen_hyperpath(3, 10)
     tight = Budget(max_selections=1000)
     ts = trace_sequence(path, 5, budget=tight)
     assert ts.values == trace_sequence(path, 5).values
-    assert ts.values[5] == trace_d(path, 5, budget=tight) == 0
+    assert ts.values[5] == 0
+    with pytest.raises(FeasibilityError, match="d=5"):
+        trace_d(path, 5, budget=tight)
+    # past the closed-form budget (2,002 vectors at order 5) the range is
+    # refused at the first order m divides, though order 6 predicts only
+    # 1,180 tables
+    with pytest.raises(FeasibilityError, match="d=6"):
+        trace_sequence(path, 6, budget=Budget(max_selections=2000))
+    # no labelling is sought when the budget admits no order above m (it
+    # admits orders up to 3 of a 5-edge path here), so every order counts
+    with pytest.raises(FeasibilityError, match="d=4"):
+        trace_sequence(gen_hyperpath(3, 5), 6, budget=Budget(max_selections=60))
 
 
 def test_rotation_labelling_joins_prime_powers():
