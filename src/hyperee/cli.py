@@ -101,9 +101,6 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-degree", type=_positive(int),
-                   default=Budget().max_degree,
-                   help="max eigenvalue count for full-spectrum work")
     p.add_argument("--budget-selections", type=_positive(int),
                    default=Budget().max_selections,
                    help="max predicted enumeration size per trace order "
@@ -175,8 +172,9 @@ def cmd_ee(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if res.terms_used is not None:
         human.append(f"series orders used: {res.terms_used}")
     if not res.converged:
-        human.append("warning: series stopped by the feasibility guard; "
-                     "the error bound covers the missing tail")
+        human.append("warning: error bound above --tol: the budget cut the "
+                     "series short, or rounding the value to a float alone "
+                     "may exceed --tol; the bound covers both")
     document = _fields(res)
     _emit(args, document, [document], human)
     return EXIT_OK
@@ -189,7 +187,7 @@ def cmd_traces(
     if args.max_d < 0:
         print("error: --max-d must be nonnegative", file=sys.stderr)
         return EXIT_PARSE
-    ts = trace_sequence(h, args.max_d, budget=_budget(args))
+    ts = trace_sequence(h, args.max_d, budget=Budget(max_selections=args.budget_selections))
     rows = [{"d": d, "trace": _fraction_json(v)} for d, v in enumerate(ts.values)]
     document = {"m": ts.m, "n": ts.n, "traces": [
         {"d": row["d"], "value": row["trace"]} for row in rows
@@ -269,9 +267,9 @@ def cmd_table1(
             res = estrada_index(h, "auto", tol=args.tol, budget=budget)
             if not res.converged:
                 raise FeasibilityError(
-                    f"series stopped by the feasibility guard after "
-                    f"{res.terms_used} orders (remaining tail <= "
-                    f"{res.error_bound:.3g})"
+                    f"series error bound {res.error_bound:.3g} above --tol "
+                    f"after {res.terms_used} orders: the feasibility budget "
+                    f"cut it short, or float rounding alone exceeds --tol"
                 )
         except FeasibilityError as exc:
             row["reason"] = str(exc)
@@ -368,6 +366,11 @@ def build_parser() -> _Parser:
                       help="target tolerance for series truncation")
     _add_common_flags(p_tb)
     p_tb.set_defaults(func=cmd_table1)
+    for p in (p_ee, p_sp, p_bd, p_tb):
+        p.add_argument("--budget-degree", type=_positive(int),
+                       default=Budget().max_degree,
+                       help="max eigenvalue count for full-spectrum work, "
+                            "and max order of a trace series")
     return parser
 
 

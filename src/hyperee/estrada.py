@@ -46,7 +46,7 @@ from .tensor import (
 from .traces import (
     Budget,
     FeasibilityError,
-    _max_admitted_order,
+    _closed_form_cut,
     _order_step,
     trace_d,
 )
@@ -63,10 +63,11 @@ class EstradaResult:
     numeric spectrum, and 0 for the closed forms (exact up to float
     rounding).  imag_discard records the magnitude of the imaginary mass
     dropped when realizing the value.  converged is False only for a
-    trace series stopped early by the feasibility guard, in which case
-    error_bound still honestly covers the missing tail.  terms_used, for trace-series, is the number of orders summed
-    (orders 0..terms_used-1); orders certified zero count as summed,
-    though trace_d returns them without any enumeration.
+    trace series whose error_bound, which honestly covers the missing
+    tail and the float rounding, exceeds its target: the budget or the cap
+    cut it short, or that rounding alone may exceed the target.
+    terms_used, for trace-series, is the number of orders summed (orders
+    0..terms_used-1), orders certified zero included.
     """
 
     value: float
@@ -77,16 +78,21 @@ class EstradaResult:
     converged: bool = True
 
 
+def _checked_float(x: int | Fraction | float, what: str) -> float:
+    """x as a float, refused with FeasibilityError when it has no finite
+    one: an answer past float range has no float to report."""
+    try:
+        if math.isfinite(value := float(x)):
+            return value
+    except OverflowError:
+        pass
+    raise FeasibilityError(f"{what} beyond float range")
+
+
 def _checked_count(k: int) -> int:
     """The eigenvalue count k, refused when it does not fit in a float:
     every EE route and bound mixes k with floats."""
-    try:
-        float(k)
-    except OverflowError:
-        raise FeasibilityError(
-            f"eigenvalue count n(m-1)^(n-1) has {k.bit_length()} bits, "
-            f"beyond float range"
-        ) from None
+    _checked_float(k, f"eigenvalue count n(m-1)^(n-1) has {k.bit_length()} bits,")
     return k
 
 
@@ -130,26 +136,33 @@ def ee_trace_series(
 ) -> EstradaResult:
     """EE as the exact series sum_d Tr_d / d!, certified truncation.
 
-    Orders 0..D-1 are accumulated as exact rationals.  D is the first
-    order with _series_tail(k, rho, D') <= target_tol, D' being the first
-    order >= D that can be nonzero, which bounds everything left because
-    |Tr_d| <= k * rho^d; rho is the power-iteration upper end of the
-    spectral radius.  The tail needs no trace, so D is fixed before the
-    first one, and it is capped at budget.max_degree + 1.  Orders that
-    _order_step proves zero cost trace_d no enumeration.  If the trace
-    enumeration becomes infeasible below D, or the cap cuts the series
-    short, the partial sum is returned with converged=False and the same
-    honest tail bound.  When no order the budget admits could bring the
-    tail under target_tol, that happens at the degree bound, without the
-    power iteration.
+    Orders 0..D-1 are accumulated as exact rationals, and the sum is
+    rounded to the nearest float; error_bound is the tail
+    _series_tail(k, rho, D') plus that rounding, rounded up.  D' is the
+    first order >= D that can be nonzero, and the tail bounds everything
+    left because |Tr_d| <= k * rho^d; rho is the power-iteration upper end
+    of the spectral radius.  The rounding is within 2^-53 k e^rho, so D is
+    the first order whose tail leaves that much of target_tol free, or,
+    when that alone reaches target_tol, whose tail is below it.  The tail
+    needs no trace, so D is fixed before the first one, and it is capped at
+    budget.max_degree + 1.  Orders that _order_step proves zero cost
+    trace_d no enumeration.  If the trace enumeration becomes infeasible
+    below D, or the cap cuts the series short, the partial sum is returned
+    with the same honest bound.  When no order the budget admits could
+    bring the tail under target_tol, that happens at the degree bound,
+    without the power iteration.  A sum past float range is refused.
     """
     if not target_tol > 0:
         raise ValueError("target_tol must be positive")
     budget = budget or Budget()
     k = _checked_count(h.eigenvalue_count())
-    top = _max_admitted_order(h, budget)
+    # the highest order up to the cap whose closed-form work the budget
+    # admits; that work grows with the order, so last is out of reach
+    top = min(budget.max_degree, _closed_form_cut(
+        h.m, h.n, len(h.edges), range(1, budget.max_degree + 2), budget) - 1)
     step = _order_step(h, top)
-    last = top + 1 + (-(top + 1) % step)
+    last = max(top + 1, h.m)
+    last += -last % step
     # the tail bound grows with rho; before its largest term it is at
     # least k, and past it, it falls with the order.  So if even a lower
     # bound on rho leaves it above target_tol at the first order out of
@@ -163,8 +176,11 @@ def ee_trace_series(
     def tail(d: int) -> float:  # from the first order >= d that can be nonzero
         return _series_tail(k, rho, d + (-d % step))
 
+    # the float nearest acc is within 2^-53 |acc| <= 2^-53 k e^rho of it
+    rounding = k * 2.0**-53 * _safe_exp(rho)
+    goal = target_tol - rounding if rounding < target_tol else math.nextafter(rounding, 0.0)
     stop = 0
-    while stop <= budget.max_degree and tail(stop) > target_tol:
+    while stop <= budget.max_degree and tail(stop) > goal:
         stop += 1
     acc, factorial_d, d = Fraction(0), 1, 0  # factorial_d is d!
     try:
@@ -174,11 +190,9 @@ def ee_trace_series(
             factorial_d *= d
     except FeasibilityError:
         pass
-    bound = tail(d)
-    return EstradaResult(
-        float(acc), "trace-series", bound, terms_used=d,
-        converged=bound <= target_tol,
-    )
+    value = _checked_float(acc, "the Estrada index lies")
+    bound = tail(d) if value == acc else _up(tail(d) + _up(float(abs(acc - Fraction(value)))))
+    return EstradaResult(value, "trace-series", bound, terms_used=d, converged=bound <= target_tol)
 
 
 def _series_tail(k: int, rho: float, d: int) -> float:
@@ -244,7 +258,8 @@ def ee_symmetric(
     value = float(n0)
     for alpha, beta, mult in nonzero_reps:
         value += mult * _orbit_sum(alpha, beta, m)
-    return EstradaResult(value=value, method="symmetric-formula", error_bound=0.0)
+    return EstradaResult(value=_checked_float(value, "the Estrada index lies"),
+                         method="symmetric-formula", error_bound=0.0)
 
 
 def ee_hyperstar(m: int, q: int) -> EstradaResult:
@@ -302,10 +317,13 @@ def bounds_basic(
     Both are tight exactly for edgeless hypergraphs.  The upper bound is
     evaluated at rho.upper so it stays an upper bound for any enclosure.
     """
-    k = _checked_count(h.eigenvalue_count())
-    lower = float(k + order_m_trace(h) / math.factorial(h.m))
-    upper = k * _safe_exp(rho.upper)
-    return lower, upper
+    return _lower_basic(h), h.eigenvalue_count() * _safe_exp(rho.upper)
+
+
+def _lower_basic(h: UniformHypergraph) -> float:
+    """k + Tr_m/m!, refused when k or it lies beyond float range."""
+    lower = _checked_count(h.eigenvalue_count()) + order_m_trace(h) / math.factorial(h.m)
+    return _checked_float(lower, "the lower bound k + Tr_m/m! lies")
 
 
 def bounds_refined(
@@ -321,10 +339,11 @@ def bounds_refined(
     for m >= 3, where orders 1..m-1 vanish.  An adjusted bound whose
     unadjusted bound is inf is inf too.
     """
-    k = _checked_count(h.eigenvalue_count())
+    k = h.eigenvalue_count()
+    lower_basic = _lower_basic(h)  # a refusal comes before the radius
     if rho is None:
         rho = spectral_radius(h)
-    lower_basic, upper_basic = bounds_basic(h, rho)
+    upper_basic = k * _safe_exp(rho.upper)
     m = h.m
     tr_m = order_m_trace(h)
     adj = float(tr_m / math.factorial(m))

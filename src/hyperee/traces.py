@@ -15,10 +15,11 @@ and the per-vertex shares are summed in integers over one common
 denominator.
 
 trace_d and trace_sequence compute a range of orders in one pass (the
-range [d, d], and the range [0, max_d]): one depth-first search finds the
-pick totals of every order in the range, each order is charged to its own
-budget before any trace is formed, and the first order the budget refuses
-raises FeasibilityError for the whole range.
+range [d, d], and the range [0, max_d]).  An order proved zero is 0, never
+charged or refused; every other order is charged its own work before any
+trace is formed, and the first one refused raises FeasibilityError for the
+whole range.  For m >= 3 one depth-first search finds the pick totals of
+every order in the range.
 
 Graphs (m = 2) take their traces tr(A^d) from matrix powers instead, taken
 in floating point modulo several moduli small enough to keep every product
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,7 +52,7 @@ class FeasibilityError(RuntimeError):
 class Budget:
     """Resource limits for exact computations."""
 
-    max_degree: int = 128  # largest eigenvalue count for full-spectrum work
+    max_degree: int = 128  # the Newton spectrum's eigenvalue cap; the series' order cap
     # predicted edge-pick configurations per trace order; for graphs, the
     # matrix-power work n^3 per bit of the order
     max_selections: int = 10**9
@@ -75,38 +76,26 @@ def trace_d(
 
     Order 0 is the eigenvalue count n(m-1)^(n-1) by convention.  Orders
     1..m-1 vanish; order m equals m^(m-1) (m-1)^(n-m) |E|.  For graphs
-    (m = 2) this is tr(A^d), from exact matrix powers whose work,
-    n^3 per bit of d, is charged to the selection budget.  An order past
-    that closed-form budget is refused even where _order_step proves it
-    zero; an order the budget admits that it proves zero is 0 without any
-    enumeration or further charge.
+    (m = 2) this is tr(A^d), from exact matrix powers whose work, n^3 per
+    bit of d, is charged to the selection budget.  An order proved zero is
+    0 under any budget.
     """
     if d < 0:
         raise ValueError("trace order d must be >= 0")
-    budget = budget or Budget()
-    if d and _closed_form_work(h.m, h.n, len(h.edges), d) > budget.max_selections:
-        raise _infeasible(h.n, h.m, d, budget)
-    return _trace_range(h, d, d, budget)[0]
+    return _trace_range(h, d, d, budget or Budget())[0]
 
 
-def _closed_form_work(m: int, n: int, q: int, d: int) -> int:
-    """What the budget charges order d before any enumeration: n^3 per bit
-    of d for a graph's matrix powers, and for m >= 3 the C(d+q-1, q-1)
-    vectors of per-edge pick totals with sum d over q edges."""
-    if m == 2:
-        return n**3 * d.bit_length()
-    return math.comb(d + q - 1, q - 1) if q else 0
-
-
-def _max_admitted_order(h: UniformHypergraph, budget: Budget, limit: float = math.inf) -> int:
-    """The highest order up to budget.max_degree (and up to limit) that
-    _closed_form_work admits; the work grows with d, so no higher order
-    can be computed."""
-    d = 0
-    while (d < min(budget.max_degree, limit)
-           and _closed_form_work(h.m, h.n, len(h.edges), d + 1) <= budget.max_selections):
-        d += 1
-    return d
+def _closed_form_cut(m: int, n: int, q: int, orders: Sequence[int], budget: Budget) -> int:
+    """The first of the nonempty ascending orders whose closed-form work the
+    budget refuses, or orders[-1] + 1.  That work is what an order d is
+    charged before any enumeration: n^3 per bit of d for a graph's matrix
+    powers, and for m >= 3 the C(d+q-1, q-1) vectors of per-edge pick
+    totals with sum d over q edges."""
+    for d in orders:
+        work = n**3 * d.bit_length() if m == 2 else math.comb(d + q - 1, q - 1) if q else 0
+        if work > budget.max_selections:
+            return d
+    return orders[-1] + 1
 
 
 def _infeasible(n: int, m: int, d: int, budget: Budget) -> FeasibilityError:
@@ -118,32 +107,24 @@ def _infeasible(n: int, m: int, d: int, budget: Budget) -> FeasibilityError:
 
 
 def _trace_range(h: UniformHypergraph, lo: int, hi: int, budget: Budget) -> list[Fraction]:
-    """The traces of orders lo..hi, from one pass.
-
-    Orders that _order_step proves zero are 0, and nothing is charged for
-    them.  Every other order is charged before any trace is formed, and
-    the first one refused raises FeasibilityError.  For m >= 3 one
-    depth-first pass finds the sigma candidates of the whole range and
-    charges each order its closed-form work and its predicted tables; a
-    graph's work grows with the order, so it is charged at its top order.
-    """
+    """The traces of orders lo..hi, from one pass.  Orders 1..m-1, and the
+    orders that _order_step proves zero, are 0 and never charged; every
+    other order is charged its own work before any trace is formed, and
+    the first one refused raises FeasibilityError."""
     m, n = h.m, h.n
-    step = _order_step(h, _max_admitted_order(h, budget, hi))
-    orders = [d for d in range(max(lo, 1), hi + 1) if d % step == 0]
+    step = _order_step(h, hi)
+    orders = [d for d in range(max(lo, m), hi + 1) if d % step == 0]
     traces: dict[int, int | Fraction] = {}
     if orders and m == 2:
-        if _closed_form_work(m, n, 0, orders[-1]) > budget.max_selections:
-            raise _infeasible(n, m, orders[-1], budget)
+        end = _closed_form_cut(m, n, 0, orders, budget)
+        if end <= orders[-1]:
+            raise _infeasible(n, m, end, budget)
         traces = dict(zip(orders, _graph_trace(h, orders, step)))
     elif orders and h.edges:
         ctx = _EnumerationContext(h)
-        candidates, end = _sigma_range(ctx, orders[0], orders[-1], budget)
-        refused = [d for d in orders if d >= end]  # end can be an order proved zero
-        if refused:
-            raise _infeasible(n, m, refused[0], budget)
         scale = (m - 1) ** n
         traces = {d: sum(_accumulate(ctx, c), Fraction(0)) * scale
-                  for d, c in candidates.items()}
+                  for d, c in _sigma_range(ctx, orders, budget).items()}
     return [Fraction(h.eigenvalue_count() if d == 0 else traces.get(d, 0))
             for d in range(lo, hi + 1)]
 
@@ -154,17 +135,20 @@ def _graph_trace(h: UniformHypergraph, orders: list[int], step: int) -> Iterator
     powers modulo pairwise coprime p with n p^2 < 2^53, so every matrix
     product is an exact integer before it is reduced mod p.  Each modulus
     keeps its power of A and multiplies it by A^step from one order to the
-    next; a modulus first needed at order d gets A^d by repeated squaring."""
+    next; a modulus first needed at order d gets A^d by repeated squaring.
+    0 <= tr(A^d) <= n rho^d <= n B^(d/2), B the largest d_u d_v over the
+    edges uv (Berman and Zhang, J. Combin. Theory Ser. B 83 (2001))."""
     n = h.n
     adj = np.zeros((n, n))
     for u, v in h.edges:
         adj[u - 1, v - 1] = adj[v - 1, u - 1] = 1.0
-    degree = int(adj.sum(axis=0).max(initial=0))
+    deg = [int(x) for x in adj.sum(axis=0)]
+    b = max((deg[u - 1] * deg[v - 1] for u, v in h.edges), default=0)
     stride = np.linalg.matrix_power(adj, step)  # exact: entries below n
     p = math.isqrt(2**53 // n)
     powers: list[tuple[int, int, np.ndarray]] = []  # (p, d, A^d mod p)
     for d in orders:
-        bound = n * degree**d  # tr(A^d) <= n Delta^d
+        bound = math.isqrt(n * n * b**d)  # tr(A^d) is an integer <= n B^(d/2)
         value, modulus, i = 0, 1, 0
         while modulus <= bound:
             if i == len(powers):  # modulus is the product of all of them
@@ -197,9 +181,9 @@ def trace_sequence(
     the order range [0, max_d].
 
     Every order is charged to the budget before any is computed, so a
-    request that some order cannot meet is refused before the cheaper
-    orders are formed.  The orders _order_step proves zero are 0 without
-    being charged or computed.
+    request that some order cannot meet is refused, at the first such
+    order, before the cheaper orders are formed.  Orders proved zero are 0
+    without being charged or computed.
     """
     if max_d < 0:
         raise ValueError("max_d must be >= 0")
@@ -378,10 +362,7 @@ def vertex_trace_terms(
     if not h.edges:
         return tuple([Fraction(0)] * h.n)
     ctx = _EnumerationContext(h)
-    candidates, end = _sigma_range(ctx, d, d, budget)
-    if end == d:
-        raise _infeasible(h.n, h.m, d, budget)
-    acc = _accumulate(ctx, candidates.get(d, []))
+    acc = _accumulate(ctx, _sigma_range(ctx, [d], budget).get(d, []))
     scale = (h.m - 1) ** h.n
     return tuple(a * scale for a in acc)
 
@@ -393,36 +374,29 @@ class _EnumerationContext:
         self.m = h.m
         self.n = h.n
         self.edges = [tuple(v - 1 for v in e) for e in h.edges]
-        self.incidence: list[list[int]] = [[] for _ in range(h.n)]
-        for idx, e in enumerate(self.edges):
-            for v in e:
-                self.incidence[v].append(idx)
-        # last edge index touching each vertex: the point where its pick
-        # total is final and divisibility can be checked
-        self.last_edge = [inc[-1] if inc else -1 for inc in self.incidence]
+        # per edge, the vertices it is the last edge of: there their pick
+        # totals are final and divisibility can be checked
+        self.finalize_at: list[list[int]] = [[] for _ in self.edges]
+        last = {v: i for i, e in enumerate(self.edges) for v in e}
+        for v in sorted(last):
+            self.finalize_at[last[v]].append(v)
 
 
 def _sigma_range(
-    ctx: _EnumerationContext, lo: int, hi: int, budget: Budget
-) -> tuple[dict[int, list[tuple[int, ...]]], int]:
-    """The sigma candidates of every order lo..hi, by order, from one
-    depth-first pass: per-edge pick totals sigma whose sum is the order,
-    whose vertex totals are all divisible by m (necessary for in/out
-    balance), and whose active edges are connected.  Each order is charged
-    its closed-form work, then the predicted tables of its candidates.
-    Returns the candidates of the orders below the first refused order,
-    and that order (hi + 1 when none is); orders past a refused one leave
-    the search as soon as it is found.  The last edge takes every total
-    that keeps the sum in range, and connectivity is decided once per set
-    of active edges."""
-    m, edges = ctx.m, ctx.edges
-    last = len(edges) - 1
-    end = next((d for d in range(lo, hi + 1)
-                if _closed_form_work(m, ctx.n, len(edges), d) > budget.max_selections), hi + 1)
-    finalize_at: list[list[int]] = [[] for _ in edges]
-    for v, e in enumerate(ctx.last_edge):
-        if e >= 0:
-            finalize_at[e].append(v)
+    ctx: _EnumerationContext, orders: list[int], budget: Budget
+) -> dict[int, list[tuple[int, ...]]]:
+    """The sigma candidates of the ascending orders, by order, from one
+    depth-first pass over orders[0]..orders[-1]: per-edge pick totals sigma
+    whose sum is the order, whose vertex totals are all divisible by m
+    (necessary for in/out balance), and whose active edges are connected.
+    Each of the orders is charged its closed-form work, then the predicted
+    tables of its candidates, and the first one refused raises
+    FeasibilityError; orders past a refused one leave the search as soon
+    as it is found.  The last edge takes every total that keeps the sum in
+    range, and connectivity is decided once per set of active edges."""
+    m, edges, finalize_at = ctx.m, ctx.edges, ctx.finalize_at
+    last, lo = len(edges) - 1, orders[0]
+    end = _closed_form_cut(m, ctx.n, len(edges), orders, budget)
     vertex_total = [0] * ctx.n
     sigma = [0] * len(edges)
     found: dict[int, list[tuple[int, ...]]] = {}
@@ -468,7 +442,9 @@ def _sigma_range(
 
     if end > lo:
         rec(0, 0, 0)
-    return {d: c for d, c in found.items() if d < end}, end
+    if end <= orders[-1]:  # the cut, or an order with candidates: one of orders
+        raise _infeasible(ctx.n, m, end, budget)
+    return found
 
 
 def _predicted_tables(sigma: list[int], m: int) -> int:

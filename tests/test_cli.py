@@ -94,7 +94,7 @@ def test_ee_rejects_nonpositive_tol(capsys):
 @pytest.mark.parametrize(
     "argv",
     [("table1", "--tol", "0"), ("table1", "--tol", "-1"),
-     ("traces", "--star", "3", "1", "--max-d", "3", "--budget-degree", "0"),
+     ("traces", "--star", "3", "1", "--max-d", "3", "--budget-selections", "0"),
      ("ee", "--star", "3", "1", "--tol", "-1"),
      ("bounds", "--star", "3", "1", "--budget-degree", "0"),
      ("spectrum", "--star", "3", "1", "--budget-selections", "-1")],
@@ -112,14 +112,17 @@ def test_nonpositive_numbers_are_parse_errors(capsys, argv):
     "argv",
     [("traces", "--star", "3", "1", "--max-d", "3", "--tol", "1e-3"),
      ("spectrum", "--star", "3", "1", "--tol", "1e-3"),
-     ("bounds", "--star", "3", "1", "--tol", "1e-3")],
+     ("bounds", "--star", "3", "1", "--tol", "1e-3"),
+     ("traces", "--star", "3", "1", "--max-d", "3", "--budget-degree", "5")],
 )
 def test_tol_is_rejected_where_nothing_reads_it(capsys, argv):
-    """Only ee and table1 truncate a series, so only they take --tol."""
+    """Only ee and table1 truncate a series, so only they take --tol; the
+    trace engine reads no eigenvalue or order cap, so traces takes no
+    --budget-degree."""
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_PARSE
     assert out == ""
-    assert "--tol" in err and "Traceback" not in err
+    assert argv[-2] in err and "Traceback" not in err
 
 
 def _csv_shaped(command, document):
@@ -163,13 +166,17 @@ def test_csv_rows_carry_the_json_values(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [("ee", "--star", "3", "600"), ("ee", "--empty", "3", "2000"),
-     ("bounds", "--empty", "3", "2000")],
+     ("bounds", "--empty", "3", "2000"),
+     # k = 1.78e308 fits in a float, but the answer does not
+     ("ee", "--path", "3", "507"), ("bounds", "--path", "3", "507"),
+     ("bounds", "--star", "3", "507"), ("ee", "--star", "3", "507")],
 )
 def test_count_beyond_float_range_exits_infeasible(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_INFEASIBLE
     assert out == ""
     assert err.startswith("infeasible:") and "beyond float range" in err
+    assert len(err.splitlines()) == 1  # one line, no traceback
 
 
 # traces

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -38,7 +40,7 @@ from hyperee.spectrum import (
     symmetric_representatives,
 )
 from hyperee.tensor import SpectralRadiusEstimate, spectral_radius
-from hyperee.traces import Budget, FeasibilityError, trace_d
+from hyperee.traces import Budget, FeasibilityError, trace_d, trace_sequence
 
 # Closed forms
 
@@ -201,9 +203,9 @@ def test_series_tail_is_sharp_past_the_peak():
 
 def test_series_enumerates_only_orders_that_can_be_nonzero(monkeypatch):
     """On an input with an m-symmetry labelling, trace_d is asked once for
-    every order summed, but the engine enumerates only orders up to m and
-    the multiples of m, and accumulates only the multiples; the labelling
-    is found once for the whole series."""
+    every order summed, but the engine enumerates and accumulates only the
+    multiples of m (orders 1..m-1 vanish on every input); the labelling is
+    found once for the whole series."""
     asked, passes, accumulated = [], [], []
     enumerate_range, accumulate = traces._sigma_range, traces._accumulate
 
@@ -211,9 +213,9 @@ def test_series_enumerates_only_orders_that_can_be_nonzero(monkeypatch):
         asked.append(d)
         return trace_d(h, d, **kwargs)
 
-    def record_pass(ctx, lo, hi, budget):
-        passes.append((lo, hi))
-        return enumerate_range(ctx, lo, hi, budget)
+    def record_pass(ctx, orders, budget):
+        passes.append(orders)
+        return enumerate_range(ctx, orders, budget)
 
     def record_accumulate(ctx, candidates):
         accumulated.append(sum(candidates[0]))
@@ -231,13 +233,40 @@ def test_series_enumerates_only_orders_that_can_be_nonzero(monkeypatch):
     res = ee_trace_series(h, 1e-8)
     assert traces._rotation_labelling.cache_info().misses == 1
     assert res.converged and asked == list(range(res.terms_used))
-    assert passes == [(d, d) for d in asked if d and (d <= 3 or d % 3 == 0)]
+    assert passes == [[d] for d in asked if d and d % 3 == 0]
     assert accumulated == [d for d in asked if d and d % 3 == 0]
     # the tail is taken at the next order that can be nonzero
     nxt = res.terms_used + (-res.terms_used % 3)
     assert nxt > res.terms_used
-    assert res.error_bound == _series_tail(h.eigenvalue_count(), 1.5, nxt)
+    # the bound adds the rounding of the exact sum to the float value
+    tail = _series_tail(h.eigenvalue_count(), 1.5, nxt)
+    assert tail <= res.error_bound <= tail + math.ulp(res.value)
     assert res.error_bound < _series_tail(h.eigenvalue_count(), 1.5, res.terms_used)
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_series_bound_covers_its_own_rounding(n):
+    """The series' error bound covers the rounding of its exact sum to a
+    float, against EE(K_n) = e^(n-1) + (n-1)/e at 50 digits.  On K_30 and
+    K_40 that rounding alone (up to 2^-53 k e^rho) exceeds the target, so
+    the series stops once its tail is below it, unconverged."""
+    h = from_edge_list(2, n, itertools.combinations(range(1, n + 1), 2))
+    res = estrada_index(h, "series")
+    with mpmath.workdps(50):
+        exact = mpmath.e ** (n - 1) + (n - 1) / mpmath.e
+        assert abs(mpmath.mpf(res.value) - exact) <= res.error_bound
+    assert res.converged == (n == 20)
+    assert res.error_bound <= 2.0**-51 * n * math.exp(n - 1)
+    k, rho, d = h.eigenvalue_count(), spectral_radius(h).upper, res.terms_used
+    # the bound is the tail plus the exact rounding of the partial sum
+    acc = sum(Fraction(t) / math.factorial(j)
+              for j, t in enumerate(trace_sequence(h, d - 1).values))
+    assert res.error_bound >= _series_tail(k, rho, d) + abs(Fraction(res.value) - acc)
+    rounding = k * 2.0**-53 * math.exp(rho)
+    if rounding < 1e-6:  # the tail leaves the rounding room under the target
+        assert _series_tail(k, rho, d) <= 1e-6 - rounding < _series_tail(k, rho, d - 1)
+    else:  # the rounding alone exceeds it: stop once the tail is below it
+        assert _series_tail(k, rho, d) < rounding <= _series_tail(k, rho, d - 1)
 
 
 # ee_trace_series(h, 1e-8) before orders certified zero were skipped and
@@ -566,6 +595,18 @@ def test_count_beyond_float_range_is_refused_fast(h):
     with pytest.raises(FeasibilityError, match="beyond float range"):
         bounds_basic(h, spectral_radius(gen_hyperstar(3, 1)))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("h", [gen_hyperpath(3, 507), gen_hyperstar(3, 507)])
+def test_lower_bound_beyond_float_range_is_refused_before_the_radius(h, monkeypatch):
+    """k = 1015 * 2^1014 fits in a float but k + Tr_3/3! does not, and the
+    refusal comes before the power iteration, which stalls on the path."""
+    def no_radius(h):
+        raise AssertionError("radius sought before the float-range check")
+
+    monkeypatch.setattr(estrada, "spectral_radius", no_radius)
+    with pytest.raises(FeasibilityError, match="beyond float range"):
+        bounds_refined(None, h)
 
 
 def test_hyperstar_beyond_float_range_is_refused():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,7 +17,14 @@ from _oracles import (
 )
 from hyperee import traces
 from hyperee.hypergraph import UniformHypergraph, from_edge_list
-from hyperee.traces import Budget, _rotation_labelling, trace_d, vertex_trace_terms
+from hyperee.traces import (
+    Budget,
+    FeasibilityError,
+    _rotation_labelling,
+    trace_d,
+    trace_sequence,
+    vertex_trace_terms,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=30, deadline=None, derandomize=True, database=None
@@ -146,9 +154,51 @@ def test_range_candidates_match_brute_force(h, lo):
         active = [e for s, e in zip(sigma, h.edges) if s]
         if lo <= sum(sigma) <= 9 and all(t % h.m == 0 for t in totals) and connected(active):
             want.setdefault(sum(sigma), []).append(sigma)
-    found, end = traces._sigma_range(traces._EnumerationContext(h), lo, 9, Budget())
-    assert end == 10
+    found = traces._sigma_range(traces._EnumerationContext(h), list(range(lo, 10)), Budget())
     assert {d: sorted(c) for d, c in found.items()} == want
+
+
+def _proved_zero(h: UniformHypergraph, d: int) -> bool:
+    """Orders 1..m-1 vanish on every input, and with a labelling (found by
+    search over all m^n of them) so do the orders m does not divide."""
+    return 0 < d < h.m or (d % h.m != 0 and has_rotation_labelling(h))
+
+
+def _own_work(h: UniformHypergraph, d: int) -> int:
+    """What order d alone is charged: its C(d+q-1, q-1) pick-total
+    vectors, or the predicted tables of its candidates, whichever is
+    larger (each is held against the budget on its own)."""
+    if not h.edges:
+        return 0
+    found = traces._sigma_range(traces._EnumerationContext(h), [d], Budget())
+    tables = sum(traces._predicted_tables(sigma, h.m) for sigma in found.get(d, []))
+    return max(math.comb(d + len(h.edges) - 1, len(h.edges) - 1), tables)
+
+
+@PROPERTY_SETTINGS
+@given(small_hypergraphs, st.integers(1, 2000), st.integers(0, 12))
+# a labelled fan whose orders 3..6 are charged 40, 35, 56 and 712: order 5
+# is proved zero past the budget, and order 6 is refused
+@example(from_edge_list(3, 6, [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6)]), 50, 5)
+@example(from_edge_list(3, 6, [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6)]), 50, 6)
+@example(from_edge_list(3, 4, [(1, 2, 3), (1, 2, 4), (1, 3, 4)]), 40, 9)
+def test_one_admission_rule(h, selections, d):
+    """An order proved zero is never charged or refused; every other order
+    is refused exactly when its own work exceeds the budget; and a range
+    is refused exactly when one of its orders is, naming the first."""
+    budget = Budget(max_selections=selections)
+    refused = [e for e in range(1, d + 1)
+               if not _proved_zero(h, e) and _own_work(h, e) > selections]
+    if d in refused:
+        with pytest.raises(FeasibilityError, match=rf"d={d}\)"):
+            trace_d(h, d, budget)
+    else:
+        assert trace_d(h, d, budget) == trace_d(h, d)
+    if refused:
+        with pytest.raises(FeasibilityError, match=rf"d={refused[0]}\)"):
+            trace_sequence(h, d, budget)
+    else:
+        assert trace_sequence(h, d, budget) == trace_sequence(h, d)
 
 
 @st.composite

@@ -207,12 +207,17 @@ def _reduced_balanced_laplacian(rng: random.Random, n: int) -> list[list[int]]:
 
 def test_graph_range_carries_matrix_powers():
     """Over a range each modulus carries its power of A from order to order
-    (A^2 on a bipartite graph), and moduli join as the orders grow; the
-    traces stay exact on K_12 and on a graph star, over consecutive orders
-    and over uneven gaps."""
+    (A^2 on a bipartite graph), and moduli join as the orders grow, as many
+    as n B^(d/2) needs, B the largest d_u d_v over the edges; the traces stay
+    exact on K_12, on K_8,8 (whose trace 2*8^d at d = 8 and 16 needs the
+    factor n), on a graph star and on one with a chord (skewed degrees, not
+    bipartite), over consecutive orders and over uneven gaps."""
     k12 = from_edge_list(2, 12, itertools.combinations(range(1, 13), 2))
+    k88 = from_edge_list(2, 16, [(i, j) for i in range(1, 9) for j in range(9, 17)])
     star = gen_hyperstar(2, 30)
-    for h, step, some in ((k12, 1, [5, 6, 17, 40]), (star, 2, [2, 8, 10, 40])):
+    chord = from_edge_list(2, 31, [*star.edges, (2, 3)])
+    for h, step, some in ((k12, 1, [5, 6, 17, 40]), (k88, 2, [2, 8, 16, 40]),
+                          (star, 2, [2, 8, 10, 40]), (chord, 1, [3, 4, 21, 40])):
         want = matrix_power_sums(h, 40)
         assert list(trace_sequence(h, 40).values) == want
         assert [trace_d(h, d) for d in range(41)] == want
@@ -265,10 +270,13 @@ def test_graph_trace_sequence_refuses_before_any_order(monkeypatch):
     tight = Budget(max_selections=h.n**3 * 3)  # admits orders up to 7
     with pytest.raises(FeasibilityError, match="d=8"):
         trace_sequence(h, 8, budget=tight)
-    # the work grows with the order, so a range is charged at its top
+    # a range is refused at its first refused order, not at its top
     triangle = from_edge_list(2, 3, [(1, 2), (2, 3), (1, 3)])
-    with pytest.raises(FeasibilityError, match="d=9"):
+    with pytest.raises(FeasibilityError, match="d=8"):
         trace_sequence(triangle, 9, budget=Budget(max_selections=27 * 3))
+    # on a bipartite graph an odd order is proved zero and never charged
+    square = from_edge_list(2, 4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    assert trace_d(square, 9, budget=Budget(max_selections=1)) == 0
 
 
 def test_rejects_negative_order():
@@ -334,13 +342,15 @@ def test_certified_zero_orders_match_the_engine():
 
 
 def test_certified_orders_keep_the_engine_refusals():
-    """trace_d checks the budget before the labelling, so an order past
-    the budget is refused whether or not it is certified zero."""
+    """An order the labelling proves zero is 0 under any budget, while
+    the per-vertex engine, which never consults the labelling, still
+    refuses it past its closed-form budget."""
     h = CORPUS["path-3-3"]
     tight = Budget(max_selections=15 - 1)  # C(4 + 2, 2) = 15 sigma vectors at order 4
     assert traces._rotation_labelling(h) is not None
-    with pytest.raises(FeasibilityError):
-        trace_d(h, 4, tight)
+    assert trace_d(h, 4, tight) == 0
+    with pytest.raises(FeasibilityError, match="d=4"):
+        vertex_trace_terms(h, 4, tight)
     assert trace_d(h, 4, Budget(max_selections=15)) == 0
 
 
@@ -360,16 +370,15 @@ def test_trace_sequence_equals_the_engine():
 def test_trace_sequence_skips_certified_orders(monkeypatch):
     """A labelled input is enumerated in one pass and accumulated only at
     the orders m divides, and it is not charged at the others; a refused
-    order stops trace_sequence before any order is accumulated.  trace_d
-    refuses its order past the closed-form budget, and trace_sequence the
-    first refused order among those it computes."""
+    order stops trace_sequence before any order is accumulated.  An order
+    proved zero is never refused, and trace_sequence names the first
+    refused order among those it computes."""
     passes, accumulated = [], []
     enumerate_range, accumulate = traces._sigma_range, traces._accumulate
 
-    def record_pass(ctx, lo, hi, budget):
-        found, end = enumerate_range(ctx, lo, hi, budget)
-        passes.append((lo, hi, sorted(found), end))
-        return found, end
+    def record_pass(ctx, orders, budget):
+        passes.append(orders)
+        return enumerate_range(ctx, orders, budget)
 
     def record_accumulate(ctx, candidates):
         accumulated.append(sum(candidates[0]))
@@ -379,7 +388,7 @@ def test_trace_sequence_skips_certified_orders(monkeypatch):
     monkeypatch.setattr(traces, "_accumulate", record_accumulate)
     h = CORPUS["path-3-2"]
     ts = trace_sequence(h, 12)
-    assert passes == [(3, 12, [3, 6, 9, 12], 13)]
+    assert passes == [[3, 6, 9, 12]]
     assert accumulated == [3, 6, 9, 12]
     assert ts.values[4] == 0
     # order 12 predicts 2,066 tables and orders 3..9 at most 670
@@ -387,26 +396,25 @@ def test_trace_sequence_skips_certified_orders(monkeypatch):
     accumulated.clear()
     with pytest.raises(FeasibilityError, match="d=12"):
         trace_sequence(h, 12, budget=Budget(max_selections=1000))
-    assert passes == [(3, 12, [3, 6, 9], 12)]
+    assert passes == [[3, 6, 9, 12]]
     assert accumulated == []
     # with 10 edges, orders 3 and 4 have 220 and 715 sigma vectors, order 5
-    # has 2,002: order 5 would be refused if it were charged.  trace_d
-    # charges a lone order its closed-form work before any zero proof
+    # has 2,002: order 5 would be refused if it were charged, and it is
+    # not, alone or in a range
     path = gen_hyperpath(3, 10)
     tight = Budget(max_selections=1000)
     ts = trace_sequence(path, 5, budget=tight)
     assert ts.values == trace_sequence(path, 5).values
     assert ts.values[5] == 0
-    with pytest.raises(FeasibilityError, match="d=5"):
-        trace_d(path, 5, budget=tight)
-    # past the closed-form budget (2,002 vectors at order 5) the range is
-    # refused at the first order m divides, though order 6 predicts only
-    # 1,180 tables
+    assert trace_d(path, 5, budget=tight) == 0
+    # order 5 (2,002 vectors) is past this budget too but proved zero; the
+    # range is refused at order 6 for its own 5,005 vectors, though it
+    # predicts only 1,180 tables
     with pytest.raises(FeasibilityError, match="d=6"):
         trace_sequence(path, 6, budget=Budget(max_selections=2000))
-    # no labelling is sought when the budget admits no order above m (it
-    # admits orders up to 3 of a 5-edge path here), so every order counts
-    with pytest.raises(FeasibilityError, match="d=4"):
+    # the budget plays no part in seeking the labelling: it admits orders
+    # up to 3 of a 5-edge path here, and orders 4 and 5 are proved zero
+    with pytest.raises(FeasibilityError, match="d=6"):
         trace_sequence(gen_hyperpath(3, 5), 6, budget=Budget(max_selections=60))
 
 
