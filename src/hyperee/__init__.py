@@ -12,7 +12,6 @@ spectral-radius enclosures, and a family of spectral bounds, plus a CLI
 from .estrada import (
     BoundsReport,
     EstradaResult,
-    bounds_basic,
     bounds_refined,
     ee_from_spectrum,
     ee_hyperstar,
@@ -70,7 +69,6 @@ __all__ = [
     "UniformHypergraph",
     "VertexDegreeProfile",
     "apply",
-    "bounds_basic",
     "bounds_refined",
     "charpoly_from_traces",
     "connected_components",

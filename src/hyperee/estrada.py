@@ -198,18 +198,20 @@ def ee_trace_series(
 def _series_tail(k: int, rho: float, d: int) -> float:
     """An upper bound on k * sum_{j >= d} rho^j / j!.
 
-    The Taylor remainder of e^rho bounds the sum by rho^d/d! * e^rho.
-    Once d + 1 > rho every term is at most rho/(d+1) times the one before,
-    so the geometric series bounds it by rho^d/d! * (d+1)/(d+1-rho).  The
-    smaller bound is returned.  Each float operation is rounded to nearest
-    and then moved one float up (the divisor d+1-rho one float down), so
-    every partial result bounds its exact value, through underflow and
-    overflow alike; math.exp is within one ulp.
+    The sum from d is part of the sum from any j <= d, which the Taylor
+    remainder of e^rho bounds by rho^j/j! * e^rho: the least over j is
+    taken.  Once d + 1 > rho every term is at most rho/(d+1) times the one
+    before, so the geometric series bounds the sum by rho^d/d! *
+    (d+1)/(d+1-rho).  The smaller bound is returned.  Each float operation
+    is rounded to nearest and moved one float up (the divisor d+1-rho one
+    float down), so every partial result bounds its exact value, through
+    underflow and overflow alike; math.exp is within one ulp.
     """
-    first = _up(float(k))
+    first = least = _up(float(k))
     for j in range(1, d + 1):
         first = _up(_up(first * rho) / j)
-    tail = _up(first * _up(_safe_exp(rho)))
+        least = min(least, first)
+    tail = _up(least * _up(_safe_exp(rho)))
     gap = math.nextafter(d + 1 - rho, 0.0)
     if gap > 0:
         tail = min(tail, _up(_up(first * (d + 1)) / gap))
@@ -309,23 +311,6 @@ class BoundsReport:
     rho_used: SpectralRadiusEstimate
 
 
-def bounds_basic(
-    h: UniformHypergraph, rho: SpectralRadiusEstimate
-) -> tuple[float, float]:
-    """(k + Tr_m/m!, k*e^rho): lower and upper bounds on EE.
-
-    Both are tight exactly for edgeless hypergraphs.  The upper bound is
-    evaluated at rho.upper so it stays an upper bound for any enclosure.
-    """
-    return _lower_basic(h), h.eigenvalue_count() * _safe_exp(rho.upper)
-
-
-def _lower_basic(h: UniformHypergraph) -> float:
-    """k + Tr_m/m!, refused when k or it lies beyond float range."""
-    lower = _checked_count(h.eigenvalue_count()) + order_m_trace(h) / math.factorial(h.m)
-    return _checked_float(lower, "the lower bound k + Tr_m/m! lies")
-
-
 def bounds_refined(
     s: Spectrum | None,
     h: UniformHypergraph,
@@ -339,13 +324,14 @@ def bounds_refined(
     for m >= 3, where orders 1..m-1 vanish.  An adjusted bound whose
     unadjusted bound is inf is inf too.
     """
-    k = h.eigenvalue_count()
-    lower_basic = _lower_basic(h)  # a refusal comes before the radius
+    k = _checked_count(h.eigenvalue_count())
+    m = h.m
+    tr_m = order_m_trace(h)
+    # a refusal comes before the radius
+    lower_basic = _checked_float(k + tr_m / math.factorial(m), "the lower bound k + Tr_m/m! lies")
     if rho is None:
         rho = spectral_radius(h)
     upper_basic = k * _safe_exp(rho.upper)
-    m = h.m
-    tr_m = order_m_trace(h)
     adj = float(tr_m / math.factorial(m))
 
     def pair(x: float, base: float, power: float) -> tuple[float, float]:

@@ -254,8 +254,8 @@ def spectrum(
         return hyperstar_spectrum(h.m, star_q)
     if k > budget.max_degree:
         raise FeasibilityError(
-            f"eigenvalue count {k} exceeds the characteristic-polynomial "
-            f"budget ({budget.max_degree}); use the trace-series method"
+            f"eigenvalue count, a {k.bit_length()}-bit integer, exceeds the characteristic-"
+            f"polynomial budget ({budget.max_degree}); use the trace-series method"
         )
     ts = trace_sequence(h, k, budget=budget)
     cp = charpoly_from_traces(ts)

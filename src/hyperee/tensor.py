@@ -7,7 +7,9 @@ of edge products, which is all the numerics below ever need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -15,8 +17,8 @@ import numpy as np
 from .hypergraph import UniformHypergraph, connected_components, degrees
 
 
-# target relative width of the power-iteration enclosure, and the number of
-# iterations per component after which the degree bound is used instead
+# target relative width of the power iteration's float ratios, and the
+# iterations per component where it stops; the enclosure is proved either way
 RADIUS_RTOL = 1e-10
 RADIUS_MAX_ITER = 10000
 
@@ -28,7 +30,7 @@ class SpectralRadiusEstimate:
     lower: float
     upper: float
     iterations: int
-    method: str  # "power-iteration" or "degree-bound"
+    method: str  # always "power-iteration"
 
     @property
     def width(self) -> float:
@@ -79,50 +81,61 @@ def rho_lower_degree(h: UniformHypergraph) -> float:
 def spectral_radius(h: UniformHypergraph) -> SpectralRadiusEstimate:
     """Spectral radius of the adjacency tensor with a certified enclosure.
 
-    Power iteration on the diagonally shifted tensor A + I, run per connected
-    component; min/max Collatz-Wielandt ratios at every step enclose rho + 1,
-    so the returned interval is valid even before convergence.  If the
-    relative width RADIUS_RTOL is not reached within RADIUS_MAX_ITER
-    iterations, the upper bound falls back to the degree bound and the
-    method tag says so.
+    Power iteration on the diagonally shifted tensor A + I, per connected
+    component, until its float Collatz-Wielandt ratios are RADIUS_RTOL
+    apart or RADIUS_MAX_ITER iterations have passed.  For any positive x,
+    min_i and max_i of (A x^{m-1})_i / x_i^{m-1} enclose rho (Yang & Yang,
+    SIAM J. Matrix Anal. Appl. 31 (2010)); the enclosure is those ratios
+    of the last iterate, exact and rounded outward, converged or not.
     """
-    best_lo = 0.0
-    best_hi = 0.0
+    lower = upper = 0.0
     iters = 0
-    converged = True
     for comp in connected_components(h):
-        comp_edges = [e for e in h.edges if e[0] in comp]
-        if not comp_edges:
-            continue  # isolated vertex: contributes rho = 0
-        lo, hi, it, ok = _component_enclosure(h.m, comp, comp_edges)
-        iters += it
-        converged = converged and ok
-        best_lo = max(best_lo, lo)
-        best_hi = max(best_hi, hi)
-    if converged:
-        return SpectralRadiusEstimate(best_lo, best_hi, iters, "power-iteration")
-    return SpectralRadiusEstimate(best_lo, rho_upper_degree(h), iters, "degree-bound")
+        local = {v: i for i, v in enumerate(comp)}
+        edges_idx = [[local[v] for v in e] for e in h.edges if e[0] in local]
+        if edges_idx:  # an isolated vertex contributes rho = 0
+            lo, hi, it = _component_enclosure(h.m - 1, edges_idx, len(comp))
+            lower, upper, iters = max(lower, lo), max(upper, hi), iters + it
+    return SpectralRadiusEstimate(lower, upper, iters, "power-iteration")
 
 
 def _component_enclosure(
-    m: int,
-    comp: tuple[int, ...],
-    comp_edges: list[tuple[int, ...]],
-) -> tuple[float, float, int, bool]:
-    local = {v: i for i, v in enumerate(comp)}
-    edges_idx = [[local[v] for v in e] for e in comp_edges]
-    size = len(comp)
+    power: int, edges_idx: list[list[int]], size: int
+) -> tuple[float, float, int]:
     x = np.ones(size)
-    power = m - 1
-    lo_best, hi_best = 0.0, float("inf")
     for it in range(1, RADIUS_MAX_ITER + 1):
         xp = x**power
         y = _add_edge_products(edges_idx, x, xp.copy())  # xp: the +I shift
-        ratios = y / xp
-        lo_best = max(lo_best, float(ratios.min()) - 1.0)
-        hi_best = min(hi_best, float(ratios.max()) - 1.0)
-        if hi_best - lo_best <= RADIUS_RTOL * max(hi_best, 1e-300):
-            return max(lo_best, 0.0), hi_best, it, True
+        ratios = y / xp  # in floats: they only decide when to stop
+        lo, hi = float(ratios.min()) - 1.0, float(ratios.max()) - 1.0
+        if hi - lo <= RADIUS_RTOL * max(hi, 1e-300):
+            break
         x = y ** (1.0 / power)
         x /= x.max()
-    return max(lo_best, 0.0), hi_best, RADIUS_MAX_ITER, False
+    return (*_collatz_wielandt(power, edges_idx, x), it)
+
+
+def _collatz_wielandt(
+    power: int, edges_idx: list[list[int]], x: np.ndarray
+) -> tuple[float, float]:
+    """min_i and max_i of (A x^power)_i / x_i^power, exactly, rounded outward.
+
+    Each float is an integer times a power of two, so the ratios are
+    Fractions of integers once x is scaled by the largest denominator.  Any
+    positive x gives an enclosure, so an entry that underflowed to 0 is
+    raised to the least positive one.
+    """
+    x = np.where(x > 0, x, x[x > 0].min())
+    pairs = [v.as_integer_ratio() for v in x.tolist()]
+    shift = max(den.bit_length() for _, den in pairs)
+    big = [num << (shift - den.bit_length()) for num, den in pairs]
+    sums = [0] * len(big)
+    for idx in edges_idx:
+        prod = math.prod(big[v] for v in idx)
+        for i in idx:
+            sums[i] += prod // big[i]
+    ratios = [Fraction(s, b**power) for s, b in zip(sums, big)]
+    lo, hi = min(ratios), max(ratios)
+    lower, upper = float(lo), float(hi)
+    return (math.nextafter(lower, 0.0) if lower > lo else lower,
+            math.nextafter(upper, math.inf) if upper < hi else upper)

@@ -265,6 +265,16 @@ def test_spectrum_infeasible(capsys):
     assert "trace-series" in err
 
 
+def test_spectrum_refusal_names_the_count_by_its_bits(capsys):
+    """k = 20001 * 2^20000 has more digits than Python converts to a
+    string; the refusal names its bit length and exits cleanly."""
+    code, out, err = run_cli(capsys, "spectrum", "--path", "3", "10000")
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert err.startswith("infeasible:") and "20015-bit" in err
+    assert len(err.splitlines()) == 1  # one line, no traceback
+
+
 # bounds
 
 

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     hyperstar_ee_m3,
@@ -22,7 +24,6 @@ from conftest import CORPUS
 from hyperee import estrada, tensor, traces
 from hyperee._poly import ConvergenceError
 from hyperee.estrada import (
-    bounds_basic,
     bounds_refined,
     ee_from_spectrum,
     ee_hyperstar,
@@ -199,6 +200,27 @@ def test_series_tail_is_sharp_past_the_peak():
     first = k * rho**d / math.factorial(d)
     assert _series_tail(k, rho, d) == pytest.approx(first * (d + 1) / (d + 1 - rho))
     assert _series_tail(k, rho, d) < first * math.exp(rho) / 10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 2**80), st.floats(0.0, 200.0), st.integers(0, 150))
+@example(6, 4.0, 1)
+def test_series_tail_never_grows_with_the_order(k, rho, d):
+    """The remainder from order d + 1 is part of the one from d, and so
+    is its bound, also while d is below rho."""
+    assert _series_tail(k, rho, d + 1) <= _series_tail(k, rho, d)
+
+
+def test_series_cut_short_below_rho_keeps_the_least_bound():
+    """A budget of 100 selections admits only orders 0 and 1 of this
+    6-vertex graph, so the series stops at order 2 with rho at the degree
+    bound 4.  Its bound is k e^rho = 6e^4 (rounded up), the least over the
+    orders passed, not the Taylor form at order 2, 6 * 4^2/2! * e^4."""
+    h = from_edge_list(2, 6, [(1, 2), (1, 6), (2, 3), (2, 4), (2, 6), (3, 4)])
+    res = ee_trace_series(h, budget=Budget(max_selections=100))
+    assert res.terms_used == 2 and not res.converged
+    assert 6 * math.exp(4) <= res.error_bound <= 6 * math.exp(4) * (1 + 1e-14)
+    assert abs(matrix_estrada(h) - res.value) <= res.error_bound
 
 
 def test_series_enumerates_only_orders_that_can_be_nonzero(monkeypatch):
@@ -509,18 +531,19 @@ def test_bounds_collapse_on_empty():
 
 def test_bounds_basic_sandwich_on_graph():
     h = CORPUS["rand-2-b"]
-    lower, upper = bounds_basic(h, spectral_radius(h))
+    rep = bounds_refined(None, h, spectral_radius(h))
     ee = ee_from_spectrum(spectrum(h)).value
-    assert lower < ee < upper
+    assert rep.lower_basic < ee < rep.upper_basic
 
 
 def test_bounds_use_radius_upper_end(monkeypatch):
-    """Bounds evaluated at a degraded enclosure stay valid, just looser."""
+    """Bounds evaluated at a starved enclosure stay valid, just looser."""
     h = gen_hyperstar(3, 4)
     sharp = bounds_refined(spectrum(h), h)
     monkeypatch.setattr(tensor, "RADIUS_MAX_ITER", 1)
     loose = bounds_refined(spectrum(h), h, rho=spectral_radius(h))
-    assert loose.rho_used.method == "degree-bound"
+    assert loose.rho_used.iterations == 1
+    assert sharp.rho_used.upper <= loose.rho_used.upper
     ee = ee_hyperstar(3, 4).value
     assert sharp.upper_basic <= loose.upper_basic
     assert ee <= sharp.upper_basic <= loose.upper_basic
@@ -570,7 +593,7 @@ def test_moment_bounds_past_float_range_are_inf():
 def test_radius_bounds_past_float_range_are_inf():
     """(sqrt(2) * rho)^100 overflows at rho = 1000; the adjusted radius
     bound is inf like the unadjusted one, not an error."""
-    rho = SpectralRadiusEstimate(0.0, 1000.0, 0, "degree-bound")
+    rho = SpectralRadiusEstimate(0.0, 1000.0, 0, "power-iteration")
     rep = bounds_refined(None, gen_hyperstar(100, 1), rho=rho)
     assert rep.upper_radius == rep.upper_radius_adjusted == math.inf
     assert rep.upper_moment is None and rep.upper_moment_adjusted is None
@@ -593,7 +616,7 @@ def test_count_beyond_float_range_is_refused_fast(h):
     with pytest.raises(FeasibilityError, match="beyond float range"):
         bounds_refined(None, h)
     with pytest.raises(FeasibilityError, match="beyond float range"):
-        bounds_basic(h, spectral_radius(gen_hyperstar(3, 1)))
+        bounds_refined(None, h, spectral_radius(gen_hyperstar(3, 1)))
     assert time.perf_counter() - start < 1.0
 
 

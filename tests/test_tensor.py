@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS
 from hyperee import tensor
 from hyperee.hypergraph import from_edge_list, gen_empty, gen_hyperpath, gen_hyperstar
 from hyperee.tensor import apply, rho_lower_degree, rho_upper_degree, spectral_radius
+
+PROPERTY_SETTINGS = settings(
+    max_examples=30, deadline=None, derandomize=True, database=None
+)
 
 # Tensor action
 
@@ -112,10 +121,109 @@ def test_component_min_degree_is_a_lower_bound():
     assert rho_lower_degree(disjoint) == 2.0  # the triangle, not the edges
 
 
-def test_degree_bound_fallback_when_starved(monkeypatch):
-    """With one iteration allowed, the upper end falls back to max degree."""
+def test_starved_enclosure_is_valid_and_no_tighter(monkeypatch):
+    """With one iteration allowed, the enclosure is the exact
+    Collatz-Wielandt interval of the second iterate: it still contains
+    rho = 4^(1/3), and it is no tighter than the converged one."""
+    converged = spectral_radius(gen_hyperstar(3, 4))
     monkeypatch.setattr(tensor, "RADIUS_MAX_ITER", 1)
     est = spectral_radius(gen_hyperstar(3, 4))
-    assert est.method == "degree-bound"
-    assert est.upper == 4.0
-    assert est.lower <= 4 ** (1.0 / 3.0)
+    assert est.method == "power-iteration" and est.iterations == 1
+    assert est.lower <= converged.lower <= 4 ** (1.0 / 3.0)
+    assert 4 ** (1.0 / 3.0) <= converged.upper <= est.upper < 4.0
+
+
+def test_starved_loose_path_keeps_its_upper_end(monkeypatch):
+    """Cut off at 50 iterations, the 20-edge loose path's upper end is the
+    iteration's own, not the degree bound 2, and still contains rho."""
+    monkeypatch.setattr(tensor, "RADIUS_MAX_ITER", 50)
+    est = spectral_radius(gen_hyperpath(3, 20))
+    assert est.iterations == 50
+    rho = (2.0 * mpmath.cos(mpmath.pi / 22)) ** (mpmath.mpf(2) / 3)
+    assert est.lower <= rho <= est.upper < 2.0
+
+
+def test_regular_enclosure_is_exact():
+    """On K_n the all-ones vector is the Perron vector, so both ends are
+    n - 1 exactly, with no outward step."""
+    for n in (3, 7, 12):
+        h = from_edge_list(2, n, itertools.combinations(range(1, n + 1), 2))
+        est = spectral_radius(h)
+        assert (est.lower, est.upper) == (n - 1, n - 1)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(2, 4).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.lists(st.integers(0, 7), min_size=m, max_size=m, unique=True),
+                 min_size=1, max_size=10),
+        st.lists(st.floats(1e-30, 1.0), min_size=8, max_size=8))))
+def test_exact_ratios_match_an_independent_evaluation(case):
+    """_collatz_wielandt against Fractions of the float entries on random
+    positive vectors: both ends are the nearest floats on the outer side
+    of the exact min and max of (A x^{m-1})_i / x_i^{m-1}."""
+    m, edges, xs = case
+    used = sorted({v for e in edges for v in e})
+    local = {v: i for i, v in enumerate(used)}
+    edges_idx = [[local[v] for v in e] for e in edges]
+    x = np.array([xs[v] for v in used])
+    sums = [Fraction(0)] * len(used)
+    for e in edges_idx:
+        for i in e:
+            sums[i] += math.prod(Fraction(x[v]) for v in e if v != i)
+    ratios = [s / Fraction(x[i]) ** (m - 1) for i, s in enumerate(sums)]
+    lower, upper = tensor._collatz_wielandt(m - 1, edges_idx, x)
+    assert lower <= min(ratios) < math.nextafter(lower, math.inf)
+    assert math.nextafter(upper, 0.0) < max(ratios) <= upper
+
+
+def test_exact_ratios_survive_an_underflowed_entry():
+    """An iterate entry that underflowed to 0 is raised to the least
+    positive one, [1, 1/2, 1/2] on the path P3: the ratios 1/2, 3 and 1
+    still enclose sqrt(2)."""
+    lower, upper = tensor._collatz_wielandt(1, [[0, 1], [1, 2]], np.array([1.0, 0.5, 0.0]))
+    assert (lower, upper) == (0.5, 3.0)
+
+
+@st.composite
+def radius_cases(draw) -> tuple[str, object]:
+    """A random graph with n <= 8, a loose path or a star."""
+    kind = draw(st.sampled_from(["graph", "path", "star"]))
+    if kind == "graph":
+        n = draw(st.integers(2, 8))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        return kind, from_edge_list(2, n, edges)
+    m, size = draw(st.integers(2, 5)), draw(st.integers(1, 12))
+    return kind, (gen_hyperpath if kind == "path" else gen_hyperstar)(m, size)
+
+
+def _exact_radius(kind, h):
+    """rho at 50 digits: mpmath's symmetric eigensolver on A for graphs,
+    (2cos(pi/(p+2)))^(2/m) on loose paths, q^(1/m) on stars."""
+    m, q = h.m, len(h.edges)
+    if kind == "graph":
+        a = mpmath.zeros(h.n)
+        for u, v in h.edges:
+            a[u - 1, v - 1] = a[v - 1, u - 1] = 1
+        return max(abs(lam) for lam in mpmath.eigsy(a, eigvals_only=True))
+    if kind == "path":
+        return (2 * mpmath.cos(mpmath.pi / (q + 2))) ** (mpmath.mpf(2) / m)
+    return mpmath.mpf(q) ** (mpmath.mpf(1) / m)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 2, 5, tensor.RADIUS_MAX_ITER]), radius_cases())
+def test_enclosure_contains_the_radius_at_50_digits(max_iter, case):
+    """Whatever the iteration cap, the enclosure contains rho.  The slack
+    1e-40 covers only the eigensolver's own error at 50 digits; it is far
+    below an ulp of either end."""
+    kind, h = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "RADIUS_MAX_ITER", max_iter)
+        est = spectral_radius(h)
+    assert est.iterations <= max_iter * len(h.edges)
+    with mpmath.workdps(50):
+        slack = mpmath.mpf(10) ** -40
+        assert est.lower - slack <= _exact_radius(kind, h) <= est.upper + slack
