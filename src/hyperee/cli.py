@@ -71,6 +71,22 @@ def _fraction_json(v: Fraction) -> int | str:
     return int(v) if v.denominator == 1 else str(v)
 
 
+def _check_printable(values) -> None:
+    """Refuse an exact value (int or Fraction) with more decimal digits
+    than Python converts to text, sys.get_int_max_str_digits() (0 for no
+    limit), before any output, naming its size in bits."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    cap = 10**limit
+    for v in values:
+        for part in (v.numerator, v.denominator):
+            if abs(part) >= cap:
+                raise FeasibilityError(
+                    f"an exact value, a {part.bit_length()}-bit integer, has more than "
+                    f"{limit} digits, past Python's int-to-text limit")
+
+
 def _positive(kind):
     """argparse type: a number of the given kind that must be positive."""
 
@@ -188,6 +204,7 @@ def cmd_traces(
         print("error: --max-d must be nonnegative", file=sys.stderr)
         return EXIT_PARSE
     ts = trace_sequence(h, args.max_d, budget=Budget(max_selections=args.budget_selections))
+    _check_printable(ts.values)
     rows = [{"d": d, "trace": _fraction_json(v)} for d, v in enumerate(ts.values)]
     document = {"m": ts.m, "n": ts.n, "traces": [
         {"d": row["d"], "value": row["trace"]} for row in rows
@@ -202,6 +219,7 @@ def cmd_spectrum(
 ) -> int:
     h = _resolve_input(args, parser)
     s = spectrum(h, budget=_budget(args))
+    _check_printable([s.k] + [mult for _, mult in s.entries])
     rows = [{"re": _sig(z.real), "im": _sig(z.imag), "multiplicity": mult}
             for z, mult in s.entries]
     human = [f"k = {s.k} eigenvalues ({s.provenance}, residual {s.residual:.3g})"]

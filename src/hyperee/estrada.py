@@ -372,10 +372,10 @@ def estrada_index(
 ) -> EstradaResult:
     """Front door: compute EE by the requested or cheapest valid method.
 
-    "auto" prefers the hyperstar closed form, then the full spectrum
-    while k fits the budget (falling back when the spectrum's trace
-    orders overrun the enumeration budget), then the certified trace
-    series.  Explicit methods: "star", "spectrum", "series",
+    "auto" picks its route from the input: the closed form for a
+    hyperstar; for a graph or an edgeless input the full spectrum, or the
+    certified trace series when spectrum() refuses it; the series for
+    every other input.  Explicit methods: "star", "spectrum", "series",
     "symmetric" (spectrum + rotation-orbit formula).  An eigenvalue
     count beyond float range is refused with FeasibilityError.
 
@@ -391,7 +391,7 @@ def estrada_index(
             return ee_hyperstar(h.m, star_q)
         if method == "star":
             raise ValueError("input is not a hyperstar")
-        if not h.edges or h.eigenvalue_count() <= budget.max_degree:
+        if h.m == 2 or not h.edges:
             try:
                 return ee_from_spectrum(spectrum(h, budget=budget))
             except FeasibilityError:

@@ -83,10 +83,11 @@ def spectral_radius(h: UniformHypergraph) -> SpectralRadiusEstimate:
 
     Power iteration on the diagonally shifted tensor A + I, per connected
     component, until its float Collatz-Wielandt ratios are RADIUS_RTOL
-    apart or RADIUS_MAX_ITER iterations have passed.  For any positive x,
-    min_i and max_i of (A x^{m-1})_i / x_i^{m-1} enclose rho (Yang & Yang,
-    SIAM J. Matrix Anal. Appl. 31 (2010)); the enclosure is those ratios
-    of the last iterate, exact and rounded outward, converged or not.
+    apart, RADIUS_MAX_ITER iterations have passed, or an entry of x^{m-1}
+    underflows to 0.  For any positive x, min_i and max_i of
+    (A x^{m-1})_i / x_i^{m-1} enclose rho (Yang & Yang, SIAM J. Matrix
+    Anal. Appl. 31 (2010)); the enclosure is those ratios of the last
+    iterate with x^{m-1} positive, exact and rounded outward.
     """
     lower = upper = 0.0
     iters = 0
@@ -102,15 +103,18 @@ def spectral_radius(h: UniformHypergraph) -> SpectralRadiusEstimate:
 def _component_enclosure(
     power: int, edges_idx: list[list[int]], size: int
 ) -> tuple[float, float, int]:
-    x = np.ones(size)
+    x = prev = np.ones(size)
     for it in range(1, RADIUS_MAX_ITER + 1):
         xp = x**power
+        if not xp.min() > 0:  # an entry underflowed: the iterate before is positive
+            x, it = prev, it - 1
+            break
         y = _add_edge_products(edges_idx, x, xp.copy())  # xp: the +I shift
         ratios = y / xp  # in floats: they only decide when to stop
         lo, hi = float(ratios.min()) - 1.0, float(ratios.max()) - 1.0
         if hi - lo <= RADIUS_RTOL * max(hi, 1e-300):
             break
-        x = y ** (1.0 / power)
+        prev, x = x, y ** (1.0 / power)
         x /= x.max()
     return (*_collatz_wielandt(power, edges_idx, x), it)
 
@@ -121,11 +125,9 @@ def _collatz_wielandt(
     """min_i and max_i of (A x^power)_i / x_i^power, exactly, rounded outward.
 
     Each float is an integer times a power of two, so the ratios are
-    Fractions of integers once x is scaled by the largest denominator.  Any
-    positive x gives an enclosure, so an entry that underflowed to 0 is
-    raised to the least positive one.
+    Fractions of integers once x is scaled by the largest denominator; x
+    must be positive.
     """
-    x = np.where(x > 0, x, x[x > 0].min())
     pairs = [v.as_integer_ratio() for v in x.tolist()]
     shift = max(den.bit_length() for _, den in pairs)
     big = [num << (shift - den.bit_length()) for num, den in pairs]

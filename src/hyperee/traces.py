@@ -197,7 +197,7 @@ def _order_step(h: UniformHypergraph, top: int) -> int:
     return h.m if top > h.m and _rotation_labelling(h) is not None else 1
 
 
-@lru_cache(maxsize=8)  # the series asks at every order, auto on both routes
+@lru_cache(maxsize=8)  # the series asks at every order, auto on a graph on both routes
 def _rotation_labelling(h: UniformHypergraph) -> tuple[int, ...] | None:
     """A labelling phi of the vertices by Z_m with sum_{v in e} phi(v) = 1
     (mod m) on every edge e, or None if there is none.

@@ -275,6 +275,36 @@ def test_spectrum_refusal_names_the_count_by_its_bits(capsys):
     assert len(err.splitlines()) == 1  # one line, no traceback
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("spectrum", "--star", "3", "10000"),
+     *[("traces", "--path", "3", "10000", "--max-d", "0", "--format", fmt)
+       for fmt in ("human", "json", "csv")]],
+)
+def test_integers_too_long_to_print_are_refused(capsys, argv):
+    """k = 20001 * 2^20000 has more digits than Python converts to text
+    by default: every format refuses it on one line, naming its bits."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert err.startswith("infeasible:") and "20015-bit" in err
+    assert len(err.splitlines()) == 1  # one line, no traceback
+
+
+def test_integer_text_limit_of_zero_prints_in_full():
+    """With the interpreter's int-to-text limit switched off, the same
+    trace is printed exactly."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=0", "-m", "hyperee.cli",
+         "traces", "--path", "3", "10000", "--max-d", "0"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    label, digits = proc.stdout.rstrip("\n").split(" = ")
+    assert label == "Tr_0" and digits.isdigit() and len(digits) > 4300
+    assert int(digits[-6:]) == 20001 * pow(2, 20000, 10**6) % 10**6
+
+
 # bounds
 
 

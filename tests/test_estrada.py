@@ -422,8 +422,15 @@ def test_auto_prefers_star_form():
     assert estrada_index(gen_hyperstar(3, 3)).method == "hyperstar-closed-form"
 
 
-def test_auto_uses_spectrum_for_small_k():
-    assert estrada_index(CORPUS["tight-pair-3"]).method == "spectrum-sum"
+def test_auto_uses_spectrum_for_graphs():
+    assert estrada_index(CORPUS["rand-2-b"]).method == "spectrum-sum"
+
+
+def test_auto_uses_series_for_small_k_hypergraphs():
+    """m >= 3 and k = 32: auto goes straight to the certified series."""
+    res = estrada_index(CORPUS["tight-pair-3"])
+    assert res.method == "trace-series"
+    assert res.error_bound <= 1e-6
 
 
 def test_auto_uses_series_for_large_k():
@@ -432,10 +439,37 @@ def test_auto_uses_series_for_large_k():
     assert res.converged
 
 
+def test_auto_never_asks_a_hypergraph_for_its_spectrum(monkeypatch):
+    """On m = 3 the spectrum is a dominated route: every corpus input with
+    edges and k <= 128 is answered, converged, without it."""
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("auto asked for the spectrum of an m = 3 input")
+
+    monkeypatch.setattr(estrada, "spectrum", no_spectrum)
+    cases = [h for h in CORPUS.values()
+             if h.m == 3 and h.edges and h.eigenvalue_count() <= 128]
+    assert len(cases) == 4
+    for h in cases:
+        assert estrada_index(h).converged
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_auto_agrees_with_the_spectrum_on_four_vertices(q):
+    """Every 3-uniform input on 4 vertices with q edges (none is a star):
+    auto's series and the Newton spectrum agree within the sum of their
+    bounds.  K_4^(3), q = 4, is left out: its spectrum takes seconds."""
+    for edges in itertools.combinations(itertools.combinations(range(1, 5), 3), q):
+        h = from_edge_list(3, 4, list(edges))
+        auto, newton = estrada_index(h), estrada_index(h, "spectrum")
+        assert (auto.method, newton.method) == ("trace-series", "spectrum-sum")
+        assert abs(auto.value - newton.value) <= auto.error_bound + newton.error_bound
+
+
 def test_auto_falls_back_when_spectrum_budget_trips():
-    """k fits the degree budget, but the trace orders do not: auto must
-    degrade to the series rather than fail."""
-    h = CORPUS["tight-pair-3"]
+    """A graph whose k fits the degree budget, but whose trace orders do
+    not: auto must degrade to the series rather than fail."""
+    h = CORPUS["rand-2-b"]
     res = estrada_index(h, budget=Budget(max_degree=128, max_selections=100))
     assert res.method == "trace-series"
     assert not res.converged
@@ -447,7 +481,7 @@ def test_root_failure_is_a_refusal_and_auto_falls_back(monkeypatch):
 
     # the package exports a function named spectrum over the submodule
     monkeypatch.setattr(sys.modules["hyperee.spectrum"], "aberth_roots", stuck)
-    h = CORPUS["tight-pair-3"]
+    h = CORPUS["rand-2-b"]
     with pytest.raises(FeasibilityError, match="did not converge"):
         spectrum(h)
     res = estrada_index(h)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import adjacency_matrix
 from conftest import CORPUS
 from hyperee import tensor
 from hyperee.hypergraph import from_edge_list, gen_empty, gen_hyperpath, gen_hyperstar
@@ -179,11 +180,32 @@ def test_exact_ratios_match_an_independent_evaluation(case):
 
 
 def test_exact_ratios_survive_an_underflowed_entry():
-    """An iterate entry that underflowed to 0 is raised to the least
-    positive one, [1, 1/2, 1/2] on the path P3: the ratios 1/2, 3 and 1
-    still enclose sqrt(2)."""
-    lower, upper = tensor._collatz_wielandt(1, [[0, 1], [1, 2]], np.array([1.0, 0.5, 0.0]))
-    assert (lower, upper) == (0.5, 3.0)
+    """K_8^(3) with a 150-edge loose path attached: its Perron vector spans
+    more than float range, so an entry of x^2 underflows to 0.  The
+    iteration stops there, with no warning, and takes the exact ratios of
+    the iterate before.  rho is at least the proved lower end for the
+    60-edge tail, a subhypergraph, and at most C(7, 2) plus a little."""
+    core = list(itertools.combinations(range(1, 9), 3))
+
+    def tailed(p):
+        return from_edge_list(3, 8 + 2 * p, core + [(v, v + 1, v + 2) for v in range(8, 8 + 2 * p, 2)])
+
+    sub, est = spectral_radius(tailed(60)), spectral_radius(tailed(150))
+    assert est.iterations < tensor.RADIUS_MAX_ITER
+    assert est.lower <= sub.lower <= est.upper < 21.0003
+
+
+def test_radius_stops_at_the_first_underflowed_iterate():
+    """K_30 with a 250-vertex path attached: the Perron vector falls by a
+    factor of about 29 per path vertex, so the iterate underflows long
+    before the float ratios settle.  The enclosure of the last iterate
+    before that contains rho (dense eigvalsh) tightly, with no warning."""
+    edges = list(itertools.combinations(range(1, 31), 2)) + [(v, v + 1) for v in range(30, 280)]
+    h = from_edge_list(2, 280, edges)
+    est = spectral_radius(h)
+    rho = np.linalg.eigvalsh(adjacency_matrix(h))[-1]
+    assert est.iterations < tensor.RADIUS_MAX_ITER
+    assert est.lower <= rho <= est.upper <= 29.0013
 
 
 @st.composite
