@@ -7,19 +7,22 @@ vertices, sum d_i = d), each pick contributes the m-1 arcs from i into the
 rest of the edge, and the resulting arc multiset must support a closed walk
 using every arc exactly once.  Walk counts come from the arborescence form of
 the Eulerian-circuit count (matrix-tree determinant, exact integers, in
-closed form up to size 3); the per-vertex pick multisets are enumerated
+closed form up to size 4); the per-vertex pick multisets are enumerated
 directly in their balanced form, which prunes the search to configurations
 with equal in- and out-degree at every vertex.  The splits of the picks are
 summed in integers against a reduced Laplacian kept up to date pick by pick,
 and the per-vertex shares are summed in integers over one common
-denominator.
+denominator.  The split sum of a vector of pick totals depends only on the
+isomorphism class of its weighted support (the d-subgraph trace formula of
+Shao, Qi & Hu, Linear Multilinear Algebra 63 (2015)), so each call forms it
+once per class, under an exact canonical key, and keeps nothing after.
 
 trace_d and trace_sequence compute a range of orders in one pass (the
 range [d, d], and the range [0, max_d]).  An order proved zero is 0, never
 charged or refused; every other order is charged its own work before any
 trace is formed, and the first one refused raises FeasibilityError for the
-whole range.  For m >= 3 one depth-first search finds the pick totals of
-every order in the range.
+whole range.  For m >= 3 one depth-first search, on a stack of its own,
+finds the pick totals of every order in the range.
 
 Graphs (m = 2) take their traces tr(A^d) from matrix powers instead, taken
 in floating point modulo several moduli small enough to keep every product
@@ -32,6 +35,7 @@ Every result is exact: Python integers and fractions.Fraction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from collections.abc import Iterator, Sequence
@@ -393,55 +397,87 @@ def _sigma_range(
     tables of its candidates, and the first one refused raises
     FeasibilityError; orders past a refused one leave the search as soon
     as it is found.  The last edge takes every total that keeps the sum in
-    range, and connectivity is decided once per set of active edges."""
+    range, and connectivity is decided once per set of active edges.
+
+    The search keeps its own stack, one level per edge, so the number of
+    edges is not bounded by the interpreter's recursion limit: edge i's
+    level holds the next total to try on it (following[i]) and the step to
+    the one after (stride[i]), the sum of the totals before it (base[i])
+    and the active edges before it (support[i]).
+    A partial sigma is dropped when its vertex totals lack more, to the
+    next multiples of m, than the picks left below the end can give; that
+    drops no candidate, so the candidates, their order and the refusals
+    are as without it."""
     m, edges, finalize_at = ctx.m, ctx.edges, ctx.finalize_at
     last, lo = len(edges) - 1, orders[0]
     end = _closed_form_cut(m, ctx.n, len(edges), orders, budget)
     vertex_total = [0] * ctx.n
+    owed = 0  # what the vertex totals lack to the next multiples of m, summed
     sigma = [0] * len(edges)
     found: dict[int, list[tuple[int, ...]]] = {}
     charged: dict[int, int] = {}
     connected: dict[int, bool] = {}  # by active edges, as a bit mask
-
-    def rec(i: int, total: int, active: int) -> None:
-        nonlocal end
+    following = [0] * len(edges)
+    stride = [1] * len(edges)
+    base = [0] * len(edges)
+    support = [0] * len(edges)
+    i, total, active = 0, 0, 0  # the edge to enter, the sum and active edges before it
+    while end > lo:  # else every order is refused, and nothing is left to find
         final = finalize_at[i]  # never empty at the last edge
         if i == last:
             first = max(0, lo - total)
-            choices = range(first + -(vertex_total[final[0]] + first) % m, end - total, m)
+            following[i], stride[i] = first + -(vertex_total[final[0]] + first) % m, m
         elif final:
             # a vertex whose total is final here fixes s modulo m
-            choices = range(-vertex_total[final[0]] % m, end - total, m)
+            following[i], stride[i] = -vertex_total[final[0]] % m, m
         else:
-            choices = range(end - total)
-        for s in choices:
-            if total + s >= end:
-                break  # an order at or below this sum was refused meanwhile
+            following[i], stride[i] = 0, 1
+        base[i], support[i] = total, active
+        while i >= 0:  # try the next total on edge i
+            total, prev = base[i], sigma[i]
+            s = following[i]
+            following[i] = s + stride[i]
+            done = total + s >= end  # also when an order at or below this sum was refused meanwhile
+            if done:
+                s = 0  # edge i goes back to 0, and the search to the edge before
+            step = s - prev
+            if step % m:
+                for v in edges[i]:
+                    t = vertex_total[v]
+                    owed += (-t - step) % m - -t % m
+                    vertex_total[v] = t + step
+            elif step:  # whole multiples of m leave owed as it is
+                for v in edges[i]:
+                    vertex_total[v] += step
             sigma[i] = s
-            for v in edges[i]:
-                vertex_total[v] += s
-            if all(vertex_total[v] % m == 0 for v in final):
-                support = active | 1 << i if s else active
-                if i < last:
-                    rec(i + 1, total + s, support)
+            if done:
+                i -= 1
+                continue
+            final = finalize_at[i]  # the first is a multiple of m by the choice of s
+            if len(final) > 1 and not all(vertex_total[v] % m == 0 for v in final):
+                continue
+            active = support[i] | 1 << i if s else support[i]
+            if i < last:
+                # each further pick takes at most m off owed, and the search
+                # ends on vertex totals that are multiples of m
+                if total + s + -(-owed // m) < end:
+                    break  # enter edge i + 1
+                continue
+            ok = connected.get(active)
+            if ok is None:
+                ok = connected[active] = _active_connected(edges, sigma)
+            if ok:
+                d = total + s
+                work = charged.get(d, 0) + _predicted_tables(sigma, m)
+                if work > budget.max_selections:
+                    end = d
                 else:
-                    ok = connected.get(support)
-                    if ok is None:
-                        ok = connected[support] = _active_connected(edges, sigma)
-                    if ok:
-                        d = total + s
-                        work = charged.get(d, 0) + _predicted_tables(sigma, m)
-                        if work > budget.max_selections:
-                            end = d
-                        else:
-                            charged[d] = work
-                            found.setdefault(d, []).append(tuple(sigma))
-            for v in edges[i]:
-                vertex_total[v] -= s
-        sigma[i] = 0
+                    charged[d] = work
+                    found.setdefault(d, []).append(tuple(sigma))
+        else:
+            break  # the search is over
+        i, total = i + 1, total + s
 
-    if end > lo:
-        rec(0, 0, 0)
     if end <= orders[-1]:  # the cut, or an order with candidates: one of orders
         raise _infeasible(ctx.n, m, end, budget)
     return found
@@ -501,8 +537,17 @@ def _accumulate(
     per pick of each active vertex; these are summed over the least common
     denominator.  The caller multiplies the final vector by (m-1)^n: the
     global (m-1)^(n-1) together with one m-1 per start-vertex arc share.
+
+    That weight depends only on the isomorphism class of the weighted
+    support, the active edges with their totals: an isomorphism carries
+    the splits of one onto the splits of the other, and a balanced
+    digraph has as many arborescences towards each of its vertices.  So
+    it is formed once per class (_class_key) in this call and reused for
+    the other candidates of the class; a candidate with no key is summed
+    on its own.  Nothing is kept from one call to the next.
     """
     m, n, edges = ctx.m, ctx.n, ctx.edges
+    weights: dict[tuple, tuple[int, int]] = {}  # class key -> (numerator, denominator)
     parts: list[tuple[int, int, list[int]]] = []  # (numerator, denominator, s)
     for sigma in candidates:
         s = [0] * n
@@ -512,17 +557,21 @@ def _accumulate(
                     s[v] += se
         for v in range(n):
             s[v] //= m
-        table_sum = _sum_over_tables(ctx, sigma, s)
-        if table_sum == 0:
-            continue
-        den = 1
-        for se in sigma:
-            den *= math.factorial(se)
-        for sv in s:
-            if sv:
-                table_sum *= math.factorial(sv)
-                den *= (m - 1) * sv
-        parts.append((table_sum, den, s))
+        key = _class_key(edges, sigma)
+        weight = weights.get(key) if key else None
+        if weight is None:
+            num, den = _sum_over_tables(ctx, sigma, s), 1
+            for se in sigma:
+                den *= math.factorial(se)
+            for sv in s:
+                if sv:
+                    num *= math.factorial(sv)
+                    den *= (m - 1) * sv
+            weight = num, den
+            if key:
+                weights[key] = weight
+        if weight[0]:
+            parts.append((*weight, s))
     common = math.lcm(*(den for _, den, _ in parts))
     acc = [0] * n
     for num, den, s in parts:
@@ -530,6 +579,53 @@ def _accumulate(
         for v in range(n):
             acc[v] += num * s[v]
     return [Fraction(a, common) for a in acc]
+
+
+# the most orderings of equally coloured edges that _class_key tries
+_KEY_ORDERINGS = 24
+
+
+def _class_key(edges: list[tuple[int, ...]], sigma: tuple[int, ...]) -> tuple | None:
+    """An exact canonical form of the weighted support of sigma, or None.
+
+    Each active edge is coloured by its total and the sorted degrees of its
+    vertices among the active edges, and the edges are sorted by colour.
+    For an ordering of the edges, vertex v's membership mask has bit j set
+    when v lies in the j-th edge; the sorted masks give the support back up
+    to the names of its vertices.  The key is the colours in order with
+    the least sorted masks over all orderings that keep the colours sorted:
+    two supports get equal keys exactly when some bijection of their edges
+    keeps totals and incidences.  None when the ties of equal colours
+    allow more than _KEY_ORDERINGS orderings."""
+    active = [i for i, se in enumerate(sigma) if se]
+    degree: dict[int, int] = {}
+    for i in active:
+        for v in edges[i]:
+            degree[v] = degree.get(v, 0) + 1
+    coloured = sorted(((sigma[i], *sorted(degree[v] for v in edges[i])), i) for i in active)
+    groups: list[list[int]] = []  # runs of equal colours, as edge indices
+    orderings = 1
+    for j, (colour, i) in enumerate(coloured):
+        if j and colour == coloured[j - 1][0]:
+            groups[-1].append(i)
+            orderings *= len(groups[-1])
+        else:
+            groups.append([i])
+    if orderings > _KEY_ORDERINGS:
+        return None
+    orders = itertools.product(*(itertools.permutations(g) for g in groups))
+    return (tuple(colour for colour, _ in coloured),
+            min(_membership(edges, degree, itertools.chain(*order)) for order in orders))
+
+
+def _membership(edges: list[tuple[int, ...]], vertices, order) -> tuple[int, ...]:
+    """The sorted membership masks of the vertices: bit j of a vertex's mask
+    is set when it lies in the j-th edge of order."""
+    mask = dict.fromkeys(vertices, 0)
+    for j, i in enumerate(order):
+        for v in edges[i]:
+            mask[v] |= 1 << j
+    return tuple(sorted(mask.values()))
 
 
 def _sum_over_tables(
@@ -625,13 +721,26 @@ def _det3(a: list[list[int]]) -> int:
     return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
 
 
-# determinants of sizes 0..3 in closed form, and Bareiss on a copy past
+def _det4(a: list[list[int]]) -> int:
+    """Laplace expansion along the first two rows: each 2x2 minor of rows
+    0 and 1 times its complementary minor of rows 2 and 3, signed."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = a
+    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+
+
+# determinants of sizes 0..4 in closed form, and Bareiss on a copy past
 # them; none of them changes its argument
 _DETERMINANTS = (
     lambda a: 1,
     lambda a: a[0][0],
     lambda a: a[0][0] * a[1][1] - a[0][1] * a[1][0],
     _det3,
+    _det4,
 )
 
 

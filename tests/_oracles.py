@@ -6,9 +6,11 @@ uniformity through the closed-walk trace formula evaluated by brute force,
 hyperstars through their definition and their known eigenvalue families,
 the rotation-orbit sums of m = 3 and m = 4 through their trigonometric
 closed forms, the m-symmetry labelling through a search of every
-labelling, and determinants through elimination over the rationals, so a
-bug in the trace engine, the root pipeline, the orbit formula, the star
-test or the labelling solver cannot hide in its own oracle.
+labelling, determinants through elimination over the rationals, and
+isomorphism of weighted supports through every bijection of their edges,
+so a bug in the trace engine, its class keys, the root pipeline, the orbit
+formula, the star test or the labelling solver cannot hide in its own
+oracle.
 """
 
 from __future__ import annotations
@@ -127,6 +129,36 @@ def _closed_walks(arcs: dict[tuple[int, int], int], start: int) -> int:
         return total
 
     return walks(start, tuple(arcs.values()))
+
+
+def weighted_supports_isomorphic(f, g) -> bool:
+    """Whether two weighted edge sets, each a sequence of (total, edge)
+    pairs with at most 6 edges, are isomorphic: some bijection of the
+    edges keeps every total and comes from a bijection of the vertices.
+
+    Every bijection of the edges is tried.  One comes from a bijection of
+    the vertices exactly when, with each vertex described by the set of
+    positions of the edges that hold it, the first side's descriptions
+    carried through the bijection are the second side's, counted with
+    multiplicity: vertices with equal descriptions can be exchanged."""
+    assert len(f) <= 6 and len(g) <= 6
+    if len(f) != len(g):
+        return False
+
+    def holders(side) -> dict:
+        seen: dict = {}
+        for j, (_total, edge) in enumerate(side):
+            for v in edge:
+                seen.setdefault(v, set()).add(j)
+        return seen
+
+    f_holders, g_holders = holders(f).values(), holders(g).values()
+    want = sorted(sorted(h) for h in g_holders)
+    for image in itertools.permutations(range(len(g))):
+        if all(f[j][0] == g[image[j]][0] for j in range(len(f))):
+            if sorted(sorted(image[j] for j in h) for h in f_holders) == want:
+                return True
+    return False
 
 
 def has_rotation_labelling(h: UniformHypergraph, modulus: int | None = None) -> bool:

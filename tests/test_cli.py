@@ -206,6 +206,17 @@ def test_traces_csv(capsys):
     assert [int(r["trace"]) for r in rows] == [3, 0, 4, 0, 8]
 
 
+def test_traces_on_more_edges_than_the_recursion_limit(capsys):
+    """A loose path of 995 edges: the candidate search keeps its own stack,
+    so the traces come out, Tr_3 = 3^2 * 2^(n-3) * q, with no traceback."""
+    code, out, err = run_cli(capsys, "traces", "--path", "3", "995", "--max-d", "3",
+                             "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    n = 2 * 995 + 1
+    assert [row["value"] for row in json.loads(out)["traces"]] == [
+        n * 2 ** (n - 1), 0, 0, 9 * 2 ** (n - 3) * 995]
+
+
 def test_traces_rejects_negative_order(capsys):
     code, _, err = run_cli(capsys, "traces", "--star", "3", "1", "--max-d", "-2")
     assert code == EXIT_PARSE

@@ -16,7 +16,7 @@ from _oracles import (
     matrix_power_sums,
 )
 from hyperee import traces
-from hyperee.hypergraph import UniformHypergraph, from_edge_list
+from hyperee.hypergraph import UniformHypergraph, from_edge_list, gen_hyperpath, gen_hyperstar
 from hyperee.traces import (
     Budget,
     FeasibilityError,
@@ -202,6 +202,59 @@ def test_one_admission_rule(h, selections, d):
 
 
 @st.composite
+def class_inputs(draw) -> UniformHypergraph:
+    """A small random input as drawn, relabelled, or beside a second one
+    on vertices of its own."""
+    m = draw(st.sampled_from([3, 4]))
+    h = draw(hypergraphs(m, 6, 4))
+    kind = draw(st.sampled_from(["drawn", "relabelled", "disconnected"]))
+    if kind == "relabelled":
+        perm = draw(st.permutations(range(1, h.n + 1)))
+        return from_edge_list(m, h.n, [tuple(perm[v - 1] for v in e) for e in h.edges])
+    if kind == "disconnected":
+        g = draw(hypergraphs(m, 5, 2))
+        return from_edge_list(m, h.n + g.n, [*h.edges, *(tuple(v + h.n for v in e) for e in g.edges)])
+    return h
+
+
+def _keyless(h: UniformHypergraph, max_d: int):
+    """The traces to max_d and the per-vertex shares of each order, with
+    every candidate summed on its own instead of once per class."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traces, "_class_key", lambda edges, sigma: None)
+        return trace_sequence(h, max_d), [vertex_trace_terms(h, d) for d in range(max_d + 1)]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(class_inputs())
+# symmetric inputs, whose candidates fall into few classes: loose paths, a
+# star plus an edge between its leaves, K_5^(3), whose widest supports have
+# too many tied orderings for a key and are summed on their own, and two
+# four-edge components whose edges all have one colour, though they are
+# not isomorphic (any two edges of the first meet in one vertex)
+@example(from_edge_list(3, 12, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6),
+                                (7, 8, 9), (7, 8, 10), (9, 11, 12), (10, 11, 12)]))
+@example(gen_hyperpath(3, 4))
+@example(gen_hyperpath(4, 3))
+@example(from_edge_list(3, 7, [*gen_hyperstar(3, 3).edges, (2, 4, 6)]))
+@example(from_edge_list(3, 5, itertools.combinations(range(1, 6), 3)))
+def test_class_sums_equal_per_candidate_sums(h):
+    """Summing once per class of weighted support leaves every trace up
+    to order 12 (9 on K_5^(3), whose order 12 takes seconds) and every
+    per-vertex share as a sum over the candidates one by one gives them,
+    and the traces up to order 6 (4 past twelve pick slots, m per edge) as
+    the brute-force closed-walk oracle gives them."""
+    top = 12 if len(h.edges) <= 8 else 9
+    ts = trace_sequence(h, top)
+    keyless, shares = _keyless(h, top)
+    assert ts == keyless
+    assert [vertex_trace_terms(h, d) for d in range(top + 1)] == shares
+    oracle_top = 6 if h.m * len(h.edges) <= 12 else 4
+    assert list(ts.values[:oracle_top + 1]) == [
+        sum(closed_walk_trace_terms(h, d)) for d in range(oracle_top + 1)]
+
+
+@st.composite
 def reduced_laplacians(draw, size: int) -> list[list[int]]:
     """The out-degree Laplacian of a random multi-digraph on size + 1
     vertices with vertex 0's row and column removed: a Z-matrix whose rows
@@ -216,7 +269,7 @@ def reduced_laplacians(draw, size: int) -> list[list[int]]:
 @settings(PROPERTY_SETTINGS, max_examples=15)
 @given(data=st.data())
 def test_determinants_match_rational_elimination(size, data):
-    """The closed forms (sizes 0..3) and Bareiss (every size) agree with
+    """The closed forms (sizes 0..4) and Bareiss (every size) agree with
     elimination over the rationals and leave their argument unchanged."""
     a = data.draw(reduced_laplacians(size))
     want = fraction_determinant(a)

@@ -14,10 +14,11 @@ from _oracles import (
     has_rotation_labelling,
     matrix_power_sums,
     star_trace,
+    weighted_supports_isomorphic,
 )
 from conftest import CORPUS
 from hyperee import traces
-from hyperee.estrada import order_m_trace
+from hyperee.estrada import estrada_index, order_m_trace
 from hyperee.hypergraph import from_edge_list, gen_empty, gen_hyperpath, gen_hyperstar
 from hyperee.traces import (
     Budget,
@@ -239,6 +240,25 @@ def test_det_bareiss_matches_rational_elimination():
     assert traces._det_bareiss([[1, -1, 0], [-1, 1, 0], [0, 0, 1]]) == 0
 
 
+def test_candidate_search_keeps_its_own_stack():
+    """The candidate search takes no stack frame per edge, so inputs with
+    more edges than the interpreter's recursion limit are answered: a
+    995-edge loose path at order 3, and auto on a random 3-uniform input
+    with n = 20 and 1,000 edges, whose series sums orders 0..3 and stops
+    unconverged because order 4 is past the budget.  The search drops a
+    partial sigma once its vertex totals lack more than the picks left can
+    give, so neither has to visit every vector of sum 3."""
+    path = gen_hyperpath(3, 995)
+    assert trace_d(path, 3) == order_m_trace(path)
+    pool = list(itertools.combinations(range(1, 21), 3))
+    dense = from_edge_list(3, 20, random.Random(1).sample(pool, 1000))
+    res = estrada_index(dense)
+    assert (res.method, res.terms_used, res.converged) == ("trace-series", 4, False)
+    assert res.value == dense.eigenvalue_count() + order_m_trace(dense) / 6
+    with pytest.raises(FeasibilityError, match="d=4"):
+        trace_d(dense, 4)
+
+
 def test_selection_budget_trips():
     h = CORPUS["star-3-3"]
     with pytest.raises(FeasibilityError, match="infeasible"):
@@ -427,3 +447,68 @@ def test_rotation_labelling_joins_prime_powers():
     complete = from_edge_list(6, 7, itertools.combinations(range(1, 8), 6))
     assert not has_rotation_labelling(complete)
     assert traces._rotation_labelling(complete) is None
+
+
+# Class keys of weighted supports
+
+# four edges whose six vertices all have degree 2, so every edge has the
+# same colour; any two edges of the first meet in one vertex, while the
+# second is two pairs of edges that meet in two
+PASCH = from_edge_list(3, 6, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)])
+TWO_PAIRS = from_edge_list(3, 6, [(1, 2, 3), (1, 2, 4), (3, 5, 6), (4, 5, 6)])
+STAR_AND_EDGE = from_edge_list(3, 7, [*gen_hyperstar(3, 3).edges, (2, 4, 6)])
+
+
+def _keyed_supports(h, orders):
+    """(class key, weighted support) of every sigma candidate of h at the
+    orders; a support is a list of (total, edge) pairs."""
+    ctx = traces._EnumerationContext(h)
+    return [
+        (traces._class_key(ctx.edges, sigma), [(s, e) for s, e in zip(sigma, ctx.edges) if s])
+        for found in traces._sigma_range(ctx, orders, Budget()).values()
+        for sigma in found
+    ]
+
+
+def test_class_keys_match_the_isomorphism_oracle():
+    """Over every pair of candidates of several inputs, pooled, two keys
+    are equal exactly when brute force over the edge bijections finds the
+    weighted supports isomorphic.  The pool holds supports that differ in
+    their totals alone, and PASCH and TWO_PAIRS, whose edge colours are
+    equal."""
+    pool = []
+    for h, top in ((PASCH, 12), (TWO_PAIRS, 12), (gen_hyperpath(3, 4), 12),
+                   (STAR_AND_EDGE, 9), (CORPUS["rand-3-b"], 9)):
+        pool += [(key, support) for key, support in _keyed_supports(h, list(range(3, top + 1)))
+                 if key is not None and len(support) <= 6]
+    assert len(pool) > 100
+    pairs = isomorphic = 0
+    for (key, f), (other, g) in itertools.combinations(pool, 2):
+        if sorted(s for s, _ in f) == sorted(s for s, _ in g):
+            pairs += 1
+            same = weighted_supports_isomorphic(f, g)
+            isomorphic += same
+            assert (key == other) == same, (f, g)
+        else:
+            assert key != other
+    assert pairs > isomorphic > 100
+
+
+def test_equal_edge_colours_do_not_make_equal_keys():
+    """PASCH and TWO_PAIRS at totals 3 are not isomorphic, and their keys
+    differ, though their edges all have the same colour; a relabelling
+    keeps each key.  Ties past the fixed number of orderings, as on
+    K_5^(3), give no key."""
+    sigma = (3, 3, 3, 3)
+    keys = [traces._class_key(traces._EnumerationContext(h).edges, sigma)
+            for h in (PASCH, TWO_PAIRS)]
+    assert None not in keys and keys[0] != keys[1]
+    assert keys[0][0] == keys[1][0]  # the colours
+    assert not weighted_supports_isomorphic(*(
+        [(3, e) for e in h.edges] for h in (PASCH, TWO_PAIRS)))
+    perm = [4, 6, 1, 3, 2, 5]
+    moved = from_edge_list(3, 6, [tuple(perm[v - 1] for v in e) for e in PASCH.edges])
+    assert traces._class_key(traces._EnumerationContext(moved).edges, sigma) == keys[0]
+    k5 = from_edge_list(3, 5, itertools.combinations(range(1, 6), 3))
+    assert traces._class_key(traces._EnumerationContext(k5).edges, (3,) * 10) is None
+
