@@ -25,7 +25,9 @@ exactly for edgeless hypergraphs.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -173,8 +175,13 @@ def ee_trace_series(
     else:
         rho = spectral_radius(h).upper
 
+    tails, known = _series_tails(k, rho), []  # known[d] is _series_tail(k, rho, d)
+
     def tail(d: int) -> float:  # from the first order >= d that can be nonzero
-        return _series_tail(k, rho, d + (-d % step))
+        d += -d % step
+        while len(known) <= d:
+            known.append(next(tails))
+        return known[d]
 
     # the float nearest acc is within 2^-53 |acc| <= 2^-53 k e^rho of it
     rounding = k * 2.0**-53 * _safe_exp(rho)
@@ -196,26 +203,36 @@ def ee_trace_series(
 
 
 def _series_tail(k: int, rho: float, d: int) -> float:
-    """An upper bound on k * sum_{j >= d} rho^j / j!.
+    """An upper bound on k * sum_{j >= d} rho^j / j!: item d of
+    _series_tails(k, rho)."""
+    return next(itertools.islice(_series_tails(k, rho), d, None))
+
+
+def _series_tails(k: int, rho: float) -> Iterator[float]:
+    """Upper bounds on k * sum_{j >= d} rho^j / j! for d = 0, 1, 2, ...
 
     The sum from d is part of the sum from any j <= d, which the Taylor
     remainder of e^rho bounds by rho^j/j! * e^rho: the least over j is
     taken.  Once d + 1 > rho every term is at most rho/(d+1) times the one
     before, so the geometric series bounds the sum by rho^d/d! *
-    (d+1)/(d+1-rho).  The smaller bound is returned.  Each float operation
-    is rounded to nearest and moved one float up (the divisor d+1-rho one
-    float down), so every partial result bounds its exact value, through
-    underflow and overflow alike; math.exp is within one ulp.
+    (d+1)/(d+1-rho).  The smaller bound is yielded.  The term rho^d/d!
+    and the least so far are carried from one d to the next.  Each float
+    operation is rounded to nearest and moved one float up (the divisor
+    d+1-rho one float down), so every partial result bounds its exact
+    value, through underflow and overflow alike; math.exp is within one
+    ulp.
     """
     first = least = _up(float(k))
-    for j in range(1, d + 1):
-        first = _up(_up(first * rho) / j)
-        least = min(least, first)
-    tail = _up(least * _up(_safe_exp(rho)))
-    gap = math.nextafter(d + 1 - rho, 0.0)
-    if gap > 0:
-        tail = min(tail, _up(_up(first * (d + 1)) / gap))
-    return tail
+    growth = _up(_safe_exp(rho))
+    for d in itertools.count():
+        if d:
+            first = _up(_up(first * rho) / d)
+            least = min(least, first)
+        tail = _up(least * growth)
+        gap = math.nextafter(d + 1 - rho, 0.0)
+        if gap > 0:
+            tail = min(tail, _up(_up(first * (d + 1)) / gap))
+        yield tail
 
 
 def _up(x: float) -> float:

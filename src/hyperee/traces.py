@@ -9,9 +9,12 @@ using every arc exactly once.  Walk counts come from the arborescence form of
 the Eulerian-circuit count (matrix-tree determinant, exact integers, in
 closed form up to size 4); the per-vertex pick multisets are enumerated
 directly in their balanced form, which prunes the search to configurations
-with equal in- and out-degree at every vertex.  The splits of the picks are
-summed in integers against a reduced Laplacian kept up to date pick by pick,
-and the per-vertex shares are summed in integers over one common
+with equal in- and out-degree at every vertex, and to partial ones whose
+active edges can still connect.  A vertex in one active edge picks only
+from it, so its Laplacian rows are eliminated in closed form (a Schur
+complement), and the splits of the picks are summed in integers against
+the small matrix left on the shared vertices, kept up to date pick by
+pick; the per-vertex shares are summed in integers over one common
 denominator.  The split sum of a vector of pick totals depends only on the
 isomorphism class of its weighted support (the d-subgraph trace formula of
 Shao, Qi & Hu, Linear Multilinear Algebra 63 (2015)), so each call forms it
@@ -384,6 +387,10 @@ class _EnumerationContext:
         last = {v: i for i, e in enumerate(self.edges) for v in e}
         for v in sorted(last):
             self.finalize_at[last[v]].append(v)
+        # per edge, its vertices as a bit mask and the last edge that holds
+        # one of them
+        self.masks = [sum(1 << v for v in e) for e in self.edges]
+        self.reach = [max(last[v] for v in e) for e in self.edges]
 
 
 def _sigma_range(
@@ -397,18 +404,21 @@ def _sigma_range(
     tables of its candidates, and the first one refused raises
     FeasibilityError; orders past a refused one leave the search as soon
     as it is found.  The last edge takes every total that keeps the sum in
-    range, and connectivity is decided once per set of active edges.
+    range.
 
     The search keeps its own stack, one level per edge, so the number of
     edges is not bounded by the interpreter's recursion limit: edge i's
     level holds the next total to try on it (following[i]) and the step to
     the one after (stride[i]), the sum of the totals before it (base[i])
-    and the active edges before it (support[i]).
+    and the components of the active edges before it (parts[i]), each as
+    its vertices' bit mask and the last edge holding one of them.
     A partial sigma is dropped when its vertex totals lack more, to the
-    next multiples of m, than the picks left below the end can give; that
-    drops no candidate, so the candidates, their order and the refusals
-    are as without it."""
-    m, edges, finalize_at = ctx.m, ctx.edges, ctx.finalize_at
+    next multiples of m, than the picks left below the end can give, and
+    when its active edges form two or more components one of which no
+    later edge touches: no completion of it is connected.  Neither drops a
+    candidate, so the candidates, their order and the refusals are as
+    without them."""
+    m, edges, finalize_at, masks, reach = ctx.m, ctx.edges, ctx.finalize_at, ctx.masks, ctx.reach
     last, lo = len(edges) - 1, orders[0]
     end = _closed_form_cut(m, ctx.n, len(edges), orders, budget)
     vertex_total = [0] * ctx.n
@@ -416,12 +426,11 @@ def _sigma_range(
     sigma = [0] * len(edges)
     found: dict[int, list[tuple[int, ...]]] = {}
     charged: dict[int, int] = {}
-    connected: dict[int, bool] = {}  # by active edges, as a bit mask
     following = [0] * len(edges)
     stride = [1] * len(edges)
     base = [0] * len(edges)
-    support = [0] * len(edges)
-    i, total, active = 0, 0, 0  # the edge to enter, the sum and active edges before it
+    parts: list[tuple[tuple[int, int], ...]] = [()] * len(edges)
+    i, total, joined = 0, 0, ()  # the edge to enter, the sum and components before it
     while end > lo:  # else every order is refused, and nothing is left to find
         final = finalize_at[i]  # never empty at the last edge
         if i == last:
@@ -432,7 +441,7 @@ def _sigma_range(
             following[i], stride[i] = -vertex_total[final[0]] % m, m
         else:
             following[i], stride[i] = 0, 1
-        base[i], support[i] = total, active
+        base[i], parts[i] = total, joined
         while i >= 0:  # try the next total on edge i
             total, prev = base[i], sigma[i]
             s = following[i]
@@ -456,17 +465,17 @@ def _sigma_range(
             final = finalize_at[i]  # the first is a multiple of m by the choice of s
             if len(final) > 1 and not all(vertex_total[v] % m == 0 for v in final):
                 continue
-            active = support[i] | 1 << i if s else support[i]
+            # each further pick takes at most m off owed, and the search
+            # ends on vertex totals that are multiples of m
+            if i < last and total + s + -(-owed // m) >= end:
+                continue
+            joined = _join(parts[i], masks[i], reach[i]) if s else parts[i]
             if i < last:
-                # each further pick takes at most m off owed, and the search
-                # ends on vertex totals that are multiples of m
-                if total + s + -(-owed // m) < end:
+                # a component no later edge touches cannot join the others
+                if len(joined) < 2 or all(r > i for _, r in joined):
                     break  # enter edge i + 1
                 continue
-            ok = connected.get(active)
-            if ok is None:
-                ok = connected[active] = _active_connected(edges, sigma)
-            if ok:
+            if len(joined) == 1:
                 d = total + s
                 work = charged.get(d, 0) + _predicted_tables(sigma, m)
                 if work > budget.max_selections:
@@ -491,26 +500,19 @@ def _predicted_tables(sigma: list[int], m: int) -> int:
     return pred
 
 
-def _active_connected(edges: list[tuple[int, ...]], sigma: list[int]) -> bool:
-    active = [e for e, s in zip(edges, sigma) if s > 0]
-    if not active:
-        return False
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in active:
-        for v in e:
-            parent.setdefault(v, v)
-        r = find(e[0])
-        for v in e[1:]:
-            parent[find(v)] = r
-    roots = {find(v) for v in parent}
-    return len(roots) == 1
+def _join(
+    parts: tuple[tuple[int, int], ...], mask: int, reach: int
+) -> tuple[tuple[int, int], ...]:
+    """The components after an edge with vertex mask and reach joins parts:
+    every component that shares a vertex with it merges into one."""
+    kept = []
+    for part in parts:
+        if part[0] & mask:
+            mask |= part[0]
+            reach = max(reach, part[1])
+        else:
+            kept.append(part)
+    return (*kept, (mask, reach))
 
 
 def _accumulate(
@@ -636,84 +638,130 @@ def _sum_over_tables(
     """Sum of trees(x) * prod_e sigma_e! / prod x! over all splits x
     consistent with sigma and s, in integers.
 
-    trees(x) counts the arborescences of the split's arc multiset towards
-    the smallest active vertex, the root: the determinant of its Laplacian
-    with the root's row and column removed, which is the only part of the
-    Laplacian kept.  The out-degrees (m-1) s_v fix its diagonal, so it is
-    set once here, and each pick x[v,e] only moves the off-diagonal entries
-    of row v; the recursion applies a pick on the way down and takes it
-    back on backtrack.
+    trees(x) counts the arborescences of the split's arc multiset towards a
+    root: the determinant of its Laplacian with the root's row and column
+    removed.  A balanced digraph has as many towards each of its vertices,
+    so the root is the least vertex in two or more active edges when there
+    is one.  A leaf, a vertex w in one active edge e only, takes all its
+    s_w picks from e in every split, so its row is s_w ((m-1) e_w - the
+    e_u of e's other vertices u) in each.  Eliminating the leaves W other
+    than the root (a Kron reduction, Dorfler & Bullo, IEEE TCAS-I 60
+    (2013)) gives det L = det L_WW * det L'.  L_WW is one block
+    s_w (mI - J) of size k_e = |e & W| per edge, of determinant
+    prod_w s_w * prod_e m^(k_e-1) (m-k_e).  L' is the Schur complement over
+    the core, the other non-root vertices: its diagonal starts at
+    (m-1) s_c, and a pick x of edge e by c takes x m/(m-k_e) off row c in
+    the columns of e's other core vertices and x k_e/(m-k_e) off its
+    diagonal.  L' is kept times g = lcm(m-k_e), so it stays integral, and
+    the sum is divided by g^|C| once at the end, exactly.
+
+    The leaves' picks add sigma_e! / ((sigma_e - sum s_w)! prod s_w!) per
+    edge, and the splits branch on the core and the root alone, edge by
+    edge; the recursion applies a pick on the way down and takes it back
+    on backtrack.  No later edge can supply the last edge's pickers, so
+    each of them takes what it still needs there.
     """
     m, edges = ctx.m, ctx.edges
-    support = [v for v in range(ctx.n) if s[v]]
-    root = support[0]
-    index = {v: i for i, v in enumerate(support[1:])}
-    lap = [[0] * len(index) for _ in index]
-    for v, i in index.items():
-        lap[i][i] = (m - 1) * s[v]
-    active = [i for i, se in enumerate(sigma) if se > 0]
-    # per active edge, one split step per vertex: the vertex, how much it
-    # can still pick from the edges after this one, its reduced Laplacian
-    # row and the columns of the edge's other vertices (none for the root)
-    steps: list[list[tuple[int, int, list[int], list[int]]]] = []
+    active = [i for i, se in enumerate(sigma) if se]
+    degree: dict[int, int] = {}
+    for i in active:
+        for v in edges[i]:
+            degree[v] = degree.get(v, 0) + 1
+    core = sorted(v for v, k in degree.items() if k > 1)
+    root = core.pop(0) if core else min(degree)
+    index = {v: j for j, v in enumerate(core)}
+    leaves = [[w for w in edges[i] if degree[w] == 1 and w != root] for i in active]
+    g = math.lcm(*(m - len(ws) for ws in leaves))
+    lap = [[0] * len(core) for _ in core]
+    for v, j in index.items():
+        lap[j][j] = g * (m - 1) * s[v]
+    factor = 1  # the leaves' picks and det L_WW
+    # per active edge, the picks its leaves leave and one split step per
+    # picker: the vertex, how much it can still pick from the edges after
+    # this one, its reduced Laplacian row, and the entries each of its
+    # picks moves with their coefficients (none for the root)
+    steps: list[tuple[int, list[tuple[int, int, list[int], list[tuple[int, int]]]]]] = []
     running = [0] * ctx.n
-    for e_idx in reversed(active):
-        e = edges[e_idx]
-        steps.append([
-            (v, running[v], lap[index[v]] if v != root else [],
-             [index[u] for u in e if u != v and u != root] if v != root else [])
-            for v in e
-        ])
-        for v in e:
-            running[v] += sigma[e_idx]
+    for i, ws in reversed(list(zip(active, leaves))):
+        k, left = len(ws), sigma[i] - sum(s[w] for w in ws)
+        if left < 0:
+            return 0
+        if k:
+            factor *= m ** (k - 1) * (m - k)
+        rest = sigma[i]
+        for w in ws:
+            factor *= s[w] * math.comb(rest, s[w])
+            rest -= s[w]
+        pickers = [v for v in edges[i] if v == root or v in index]
+        off, own = g * m // (m - k), g * k // (m - k)
+        steps.append((left, [
+            (v, running[v], [], []) if v == root else
+            (v, running[v], lap[index[v]],
+             [(index[u], off) for u in pickers if u != v and u != root]
+             + ([(index[v], own)] if own else []))
+            for v in pickers
+        ]))
+        for v in pickers:
+            running[v] += left
     steps.reverse()
-    last = m - 1
     remaining = list(s)
     det = _DETERMINANTS[len(lap)] if len(lap) < len(_DETERMINANTS) else _det_copy
     total = 0
 
     def edge_rec(pos: int, weight: int) -> None:
         nonlocal total
-        if pos == len(active):
-            total += weight * det(lap)
-            return
-        e_idx = active[pos]
+        left, step = steps[pos]
         owed = 0
-        for v in edges[e_idx]:
+        for v, _, _, _ in step:
             owed += remaining[v]
-        split_rec(steps[pos], pos, 0, sigma[e_idx], owed, weight)
+        if pos < len(steps) - 1:
+            split_rec(step, pos, 0, left, owed, weight)
+            return
+        if owed != left:  # the last edge: each picker takes what it still needs
+            return
+        for v, _, row, moves in step:
+            x = remaining[v]
+            weight *= math.comb(left, x)
+            left -= x
+            for c, a in moves:
+                row[c] -= a * x
+        total += weight * det(lap)
+        for v, _, row, moves in step:
+            x = remaining[v]
+            for c, a in moves:
+                row[c] += a * x
 
     def split_rec(step, pos, vi, left, owed, weight) -> None:
-        # left: picks of this edge still to hand out among vertices vi..;
-        # owed: what those vertices must still pick in total.  A vertex
+        # left: picks of this edge still to hand out among pickers vi..;
+        # owed: what those pickers must still pick in total.  A picker
         # takes at least what the later edges cannot supply it, and leaves
-        # no more than the edge's later vertices can take; the last vertex
+        # no more than the edge's later pickers can take; the last picker
         # takes what is left.
-        v, cap, row, cols = step[vi]
+        v, cap, row, moves = step[vi]
         need = remaining[v]
-        if vi == last:
+        if vi == len(step) - 1:
             if left > need or need - left > cap:
                 return
             remaining[v] = need - left
-            for c in cols:
-                row[c] -= left
+            for c, a in moves:
+                row[c] -= a * left
             edge_rec(pos + 1, weight)
-            for c in cols:
-                row[c] += left
+            for c, a in moves:
+                row[c] += a * left
             remaining[v] = need
             return
         owed -= need
         for x in range(max(0, need - cap, left - owed), min(left, need) + 1):
             remaining[v] = need - x
-            for c in cols:
-                row[c] -= x
+            for c, a in moves:
+                row[c] -= a * x
             split_rec(step, pos, vi + 1, left - x, owed, weight * math.comb(left, x))
-            for c in cols:
-                row[c] += x
+            for c, a in moves:
+                row[c] += a * x
         remaining[v] = need
 
     edge_rec(0, 1)
-    return total
+    return factor * total // g ** len(core)
 
 
 def _det3(a: list[list[int]]) -> int:
@@ -749,12 +797,16 @@ def _det_copy(a: list[list[int]]) -> int:
 
 
 def _det_bareiss(a: list[list[int]]) -> int:
-    """Exact determinant of a reduced out-degree Laplacian by fraction-free
-    Gaussian elimination; the rows of a are overwritten.
+    """Exact determinant of a reduced out-degree Laplacian, or of the core
+    matrix _sum_over_tables keeps, by fraction-free Gaussian elimination;
+    the rows of a are overwritten.
 
     a is a Z-matrix (off-diagonal entries <= 0) whose rows sum to >= 0:
     the full Laplacian's rows sum to 0, and each row loses only its entry
-    <= 0 in the removed column.  Each step replaces the trailing block by
+    <= 0 in the removed column.  The core matrix is a multiple of a Schur
+    complement of that one at the leaves' block, an M-matrix, so it keeps
+    both properties: row c sums to g m x/(m-k_e) over its picks x of the
+    edges e that hold the root.  Each step replaces the trailing block by
     a positive multiple of its Schur complement at a pivot p > 0, whose
     entries a_ij - a_ik a_kj / p are no larger than a_ij, and whose row
     sums r_i - a_ik r_k / p are no smaller than r_i; so every trailing

@@ -6,11 +6,13 @@ uniformity through the closed-walk trace formula evaluated by brute force,
 hyperstars through their definition and their known eigenvalue families,
 the rotation-orbit sums of m = 3 and m = 4 through their trigonometric
 closed forms, the m-symmetry labelling through a search of every
-labelling, determinants through elimination over the rationals, and
-isomorphism of weighted supports through every bijection of their edges,
-so a bug in the trace engine, its class keys, the root pipeline, the orbit
-formula, the star test or the labelling solver cannot hide in its own
-oracle.
+labelling, determinants through elimination over the rationals, the
+split sums of pick totals through the whole Laplacian of every split,
+the pick totals themselves through a search of every vector,
+and isomorphism of weighted supports through every bijection of their
+edges, so a bug in the trace engine, its class keys, the root pipeline,
+the orbit formula, the star test or the labelling solver cannot hide in
+its own oracle.
 """
 
 from __future__ import annotations
@@ -129,6 +131,133 @@ def _closed_walks(arcs: dict[tuple[int, int], int], start: int) -> int:
         return total
 
     return walks(start, tuple(arcs.values()))
+
+
+def full_laplacian_table_sum(
+    m: int, n: int, edges: list[tuple[int, ...]], sigma: tuple[int, ...], s: list[int]
+) -> int:
+    """Sum of trees(x) * prod_e sigma_e! / prod x! over every split x of
+    the per-edge totals sigma among the vertices of each edge (0-based),
+    x[v,e] picks of e by v, with row sums s_v.
+
+    trees(x) is the determinant, over the rationals, of the split's whole
+    out-degree Laplacian with the smallest active vertex's row and column
+    removed: diagonal (m-1) s_v, and each pick x[v,e] takes x[v,e] off row
+    v in the columns of e's other vertices.  Every active vertex, leaf or
+    not, gets its own row and its own share of every split; the recursion
+    applies a pick on the way down and takes it back on backtrack."""
+    support = [v for v in range(n) if s[v]]
+    root = support[0]
+    index = {v: i for i, v in enumerate(support[1:])}
+    lap = [[0] * len(index) for _ in index]
+    for v, i in index.items():
+        lap[i][i] = (m - 1) * s[v]
+    active = [i for i, se in enumerate(sigma) if se > 0]
+    # per active edge, one split step per vertex: the vertex, how much it
+    # can still pick from the edges after this one, its reduced Laplacian
+    # row and the columns of the edge's other vertices (none for the root)
+    steps = []
+    running = [0] * n
+    for e_idx in reversed(active):
+        e = edges[e_idx]
+        steps.append([
+            (v, running[v], lap[index[v]] if v != root else [],
+             [index[u] for u in e if u != v and u != root] if v != root else [])
+            for v in e
+        ])
+        for v in e:
+            running[v] += sigma[e_idx]
+    steps.reverse()
+    remaining = list(s)
+    total = 0
+
+    def edge_rec(pos: int, weight: int) -> None:
+        nonlocal total
+        if pos == len(active):
+            total += weight * fraction_determinant(lap)
+            return
+        owed = sum(remaining[v] for v in edges[active[pos]])
+        split_rec(steps[pos], pos, 0, sigma[active[pos]], owed, weight)
+
+    def split_rec(step, pos, vi, left, owed, weight) -> None:
+        # left: picks of this edge still to hand out among vertices vi..;
+        # owed: what those vertices must still pick in total
+        v, cap, row, cols = step[vi]
+        need = remaining[v]
+        if vi == m - 1:
+            if left > need or need - left > cap:
+                return
+            lo = hi = left
+        else:
+            owed -= need
+            lo, hi = max(0, need - cap, left - owed), min(left, need)
+        for x in range(lo, hi + 1):
+            remaining[v] = need - x
+            for c in cols:
+                row[c] -= x
+            if vi == m - 1:
+                edge_rec(pos + 1, weight)
+            else:
+                split_rec(step, pos, vi + 1, left - x, owed, weight * math.comb(left, x))
+            for c in cols:
+                row[c] += x
+        remaining[v] = need
+
+    edge_rec(0, 1)
+    assert total.denominator == 1
+    return int(total)
+
+
+def sigma_candidates(
+    m: int, n: int, edges: list[tuple[int, ...]], lo: int, hi: int, max_selections: int
+) -> dict[int, list[tuple[int, ...]]] | int:
+    """The sigma candidates of orders lo..hi, by order, each order's in
+    lexicographic order: the vectors of per-edge pick totals with that sum
+    whose vertex totals are all multiples of m and whose active edges are
+    connected.  Every vector with sum at most hi is visited, with no
+    pruning.  Or, when the budget refuses an order, the first refused one:
+    an order is refused when its closed-form work (n^3 per bit of the
+    order for a graph, else its C(d+q-1, q-1) vectors over q edges), or
+    the predicted tables prod_e C(sigma_e+m-1, m-1) of its candidates,
+    summed, exceed max_selections."""
+    q = len(edges)
+
+    def vectors(parts: int, most: int):
+        if parts == 0:
+            yield ()
+            return
+        for first in range(most + 1):
+            for rest in vectors(parts - 1, most - first):
+                yield (first, *rest)
+
+    def connected(active: list[set[int]]) -> bool:
+        if not active:
+            return False
+        seen, rest = set(active[0]), active[1:]
+        while rest:
+            near = [e for e in rest if e & seen]
+            if not near:
+                return False
+            rest = [e for e in rest if not e & seen]
+            for e in near:
+                seen |= e
+        return True
+
+    found: dict[int, list[tuple[int, ...]]] = {}
+    for sigma in vectors(q, hi):
+        if sum(sigma) < lo:
+            continue
+        totals = [sum(s for s, e in zip(sigma, edges) if v in e) for v in range(n)]
+        if all(t % m == 0 for t in totals) and connected(
+                [set(e) for s, e in zip(sigma, edges) if s]):
+            found.setdefault(sum(sigma), []).append(sigma)
+    for d in range(lo, hi + 1):
+        work = n**3 * d.bit_length() if m == 2 else math.comb(d + q - 1, q - 1)
+        tables = sum(math.prod(math.comb(s + m - 1, m - 1) for s in sigma if s)
+                     for sigma in found.get(d, []))
+        if max(work, tables) > max_selections:
+            return d
+    return found
 
 
 def weighted_supports_isomorphic(f, g) -> bool:

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from _oracles import (
     closed_walk_trace_terms,
     fraction_determinant,
+    full_laplacian_table_sum,
     has_rotation_labelling,
     matrix_power_sums,
+    sigma_candidates,
 )
 from hyperee import traces
 from hyperee.hypergraph import UniformHypergraph, from_edge_list, gen_hyperpath, gen_hyperstar
@@ -156,6 +158,88 @@ def test_range_candidates_match_brute_force(h, lo):
             want.setdefault(sum(sigma), []).append(sigma)
     found = traces._sigma_range(traces._EnumerationContext(h), list(range(lo, 10)), Budget())
     assert {d: sorted(c) for d, c in found.items()} == want
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        st.sampled_from([3, 4]).flatmap(lambda m: hypergraphs(m, 7, 5)),
+        hypergraphs(2, 7, 6),
+    ),
+    st.integers(1, 6),
+    st.integers(0, 6),
+    st.integers(1, 6),
+)
+# two disjoint edges that only the last one joins; a chain of four edges;
+# a star with a pendant path, whose order-9 tables pass 10^3; and a
+# 5-cycle, whose matrix-power work n^3 per bit refuses order 2 at 10^2
+@example(from_edge_list(3, 7, [(1, 5, 6), (2, 3, 4), (3, 5, 7)]), 3, 9, 6)
+@example(gen_hyperpath(2, 4), 8, 0, 6)
+@example(from_edge_list(3, 7, [(1, 2, 3), (1, 4, 5), (5, 6, 7)]), 3, 9, 3)
+@example(from_edge_list(2, 5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]), 2, 8, 2)
+def test_search_finds_what_every_vector_finds(h, lo, width, exponent):
+    """The pruned search yields the candidates of orders lo..lo+width, and
+    in the same order, as a search of every vector that keeps the
+    connected ones; under a budget of 10^exponent it refuses at the same
+    order with the same message."""
+    assume(h.edges)
+    hi, budget = lo + width, Budget(max_selections=10**exponent)
+    ctx = traces._EnumerationContext(h)
+    want = sigma_candidates(h.m, h.n, ctx.edges, lo, hi, budget.max_selections)
+    if isinstance(want, int):
+        with pytest.raises(FeasibilityError) as refusal:
+            traces._sigma_range(ctx, list(range(lo, hi + 1)), budget)
+        assert str(refusal.value) == str(traces._infeasible(h.n, h.m, want, budget))
+    else:
+        assert traces._sigma_range(ctx, list(range(lo, hi + 1)), budget) == want
+
+
+def _supports(h: UniformHypergraph, d: int):
+    """(context, sigma, per-vertex picks s) of every sigma candidate of
+    order d; none without edges."""
+    if not h.edges:
+        return
+    ctx = traces._EnumerationContext(h)
+    for sigma in traces._sigma_range(ctx, [d], Budget()).get(d, []):
+        totals = [0] * h.n
+        for se, e in zip(sigma, ctx.edges):
+            for v in e:
+                totals[v] += se
+        yield ctx, sigma, [t // h.m for t in totals]
+
+
+# every vertex of the Pasch configuration lies in two edges: no leaf, and a
+# core of five vertices past the root; the loose 6-cycle adds a leaf to each
+# of those edges
+PASCH = from_edge_list(3, 6, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)])
+LOOSE_CYCLE = from_edge_list(3, 12, [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 9),
+                                     (9, 10, 11), (11, 12, 1)])
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        st.sampled_from([3, 4]).flatmap(lambda m: hypergraphs(m, 7, 5)),
+        hypergraphs(2, 7, 7),
+    ),
+    st.integers(2, 9),
+)
+@example(gen_hyperpath(3, 1), 6)  # one edge: the root is a leaf, the core empty
+@example(gen_hyperpath(4, 1), 8)
+@example(gen_hyperpath(2, 3), 6)
+@example(gen_hyperstar(3, 3), 9)  # every edge's one non-leaf is the root
+@example(gen_hyperstar(4, 2), 8)
+# pairs of edges sharing one or two vertices: k_e = 3, and k_e = 2 with g = 2
+@example(from_edge_list(4, 7, [(1, 2, 3, 4), (1, 2, 5, 6), (3, 5, 6, 7)]), 8)
+@example(PASCH, 12)  # no leaf, and Bareiss on the core of 5
+@example(LOOSE_CYCLE, 18)  # leaves beside a core of 5
+def test_core_reduction_matches_the_full_laplacian(h, d):
+    """The split sum on the core of each support, its leaves eliminated
+    in closed form, equals the sum over every split of the whole
+    Laplacian's determinant."""
+    for ctx, sigma, s in _supports(h, d):
+        assert traces._sum_over_tables(ctx, sigma, s) == full_laplacian_table_sum(
+            h.m, h.n, ctx.edges, sigma, s), sigma
 
 
 def _proved_zero(h: UniformHypergraph, d: int) -> bool:

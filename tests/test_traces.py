@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -257,6 +258,18 @@ def test_candidate_search_keeps_its_own_stack():
     assert res.value == dense.eigenvalue_count() + order_m_trace(dense) / 6
     with pytest.raises(FeasibilityError, match="d=4"):
         trace_d(dense, 4)
+
+
+def test_search_on_a_long_path_keeps_every_candidate():
+    """On the 20-edge loose path every middle vertex lies in one edge, so
+    a candidate of orders 3..18 is a run of L consecutive edges with
+    totals 3a_e, a_e >= 1 and sum a_e <= 6: (21 - L) positions times
+    C(6, L) totals.  The search drops the partial vectors whose active
+    edges can no longer connect, and keeps all 1,131 of these."""
+    ctx = traces._EnumerationContext(gen_hyperpath(3, 20))
+    found = traces._sigma_range(ctx, list(range(3, 19)), Budget(max_selections=10**12))
+    assert sum(map(len, found.values())) == sum(
+        (21 - run) * math.comb(6, run) for run in range(1, 7)) == 1131
 
 
 def test_selection_budget_trips():
