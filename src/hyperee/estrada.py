@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -48,7 +48,6 @@ from .tensor import (
 from .traces import (
     Budget,
     FeasibilityError,
-    _closed_form_cut,
     _order_step,
     trace_d,
 )
@@ -142,64 +141,64 @@ def ee_trace_series(
     rounded to the nearest float; error_bound is the tail
     _series_tail(k, rho, D') plus that rounding, rounded up.  D' is the
     first order >= D that can be nonzero, and the tail bounds everything
-    left because |Tr_d| <= k * rho^d; rho is the power-iteration upper end
-    of the spectral radius.  The rounding is within 2^-53 k e^rho, so D is
-    the first order whose tail leaves that much of target_tol free, or,
-    when that alone reaches target_tol, whose tail is below it.  The tail
-    needs no trace, so D is fixed before the first one, and it is capped at
-    budget.max_degree + 1.  Orders that _order_step proves zero cost
-    trace_d no enumeration.  If the trace enumeration becomes infeasible
-    below D, or the cap cuts the series short, the partial sum is returned
-    with the same honest bound.  When no order the budget admits could
-    bring the tail under target_tol, that happens at the degree bound,
-    without the power iteration.  A sum past float range is refused.
-    """
+    left because |Tr_d| <= k * rho^d.  The rounding is within 2^-53 k e^rho,
+    so the tail's goal is target_tol less that, or just under the rounding
+    once it reaches target_tol.  A first pass sums each order whose tail at
+    the degree lower bound on rho is above the goal at both degree bounds:
+    it is needed whatever rho is, as the tail grows with rho and the goal
+    falls, then rises.  If the cap budget.max_degree + 1, or an order that
+    trace_d refuses, stops that pass where even the lower bound's tail is
+    above target_tol, rho is the degree upper bound, chosen at the order
+    where the engine refused, without the power iteration.  Otherwise rho
+    is the power-iteration upper end, and a second pass sums on to the
+    first order whose tail meets the goal, the cap or a refusal.  Orders
+    that _order_step proves zero cost trace_d no enumeration.  A sum past
+    float range is refused."""
     if not target_tol > 0:
         raise ValueError("target_tol must be positive")
     budget = budget or Budget()
     k = _checked_count(h.eigenvalue_count())
-    # the highest order up to the cap whose closed-form work the budget
-    # admits; that work grows with the order, so last is out of reach
-    top = min(budget.max_degree, _closed_form_cut(
-        h.m, h.n, len(h.edges), range(1, budget.max_degree + 2), budget) - 1)
-    step = _order_step(h, top)
-    last = max(top + 1, h.m)
-    last += -last % step
-    # the tail bound grows with rho; before its largest term it is at
-    # least k, and past it, it falls with the order.  So if even a lower
-    # bound on rho leaves it above target_tol at the first order out of
-    # reach, the series stops unconverged whatever the radius, and the
-    # degree bound serves in place of the power iteration
-    if target_tol < k and _series_tail(k, rho_lower_degree(h), last) > target_tol:
-        rho = rho_upper_degree(h)
-    else:
-        rho = spectral_radius(h).upper
+    cap, terms = budget.max_degree, []  # terms[d] is Tr_d / d!
+    step = _order_step(h, cap)
 
+    def goal(rho: float) -> float:  # the float nearest the sum is within 2^-53 k e^rho of it
+        rounding = k * 2.0**-53 * _safe_exp(rho)
+        return target_tol - rounding if rounding < target_tol else math.nextafter(rounding, 0.0)
+
+    def sum_while(tail: Callable[[int], float], above: float) -> bool:
+        """Sum on while the tail is above `above`; False if the cap or a refusal stops it."""
+        try:
+            while (d := len(terms)) <= cap and tail(d) > above:
+                terms.append(trace_d(h, d, budget=budget) / math.factorial(d))
+        except FeasibilityError:
+            return False
+        return d <= cap
+
+    rho_lo, rho_up = rho_lower_degree(h), rho_upper_degree(h)
+    tail_lo = _tail_from(k, rho_lo, step)
+    whole = sum_while(tail_lo, max(goal(rho_lo), goal(rho_up)))
+    cut_short = not whole and target_tol < k and tail_lo(len(terms)) > target_tol
+    rho = rho_up if cut_short else spectral_radius(h).upper
+    tail = _tail_from(k, rho, step)
+    if whole:
+        sum_while(tail, goal(rho))
+    acc, d = sum(terms, Fraction(0)), len(terms)
+    value = _checked_float(acc, "the Estrada index lies")
+    bound = tail(d) if value == acc else _up(tail(d) + _up(float(abs(acc - Fraction(value)))))
+    return EstradaResult(value, "trace-series", bound, terms_used=d, converged=bound <= target_tol)
+
+
+def _tail_from(k: int, rho: float, step: int) -> Callable[[int], float]:
+    """d -> _series_tail(k, rho, d') for d' the first multiple of step >= d."""
     tails, known = _series_tails(k, rho), []  # known[d] is _series_tail(k, rho, d)
 
-    def tail(d: int) -> float:  # from the first order >= d that can be nonzero
+    def tail(d: int) -> float:
         d += -d % step
         while len(known) <= d:
             known.append(next(tails))
         return known[d]
 
-    # the float nearest acc is within 2^-53 |acc| <= 2^-53 k e^rho of it
-    rounding = k * 2.0**-53 * _safe_exp(rho)
-    goal = target_tol - rounding if rounding < target_tol else math.nextafter(rounding, 0.0)
-    stop = 0
-    while stop <= budget.max_degree and tail(stop) > goal:
-        stop += 1
-    acc, factorial_d, d = Fraction(0), 1, 0  # factorial_d is d!
-    try:
-        while d < stop:
-            acc += trace_d(h, d, budget=budget) / factorial_d
-            d += 1
-            factorial_d *= d
-    except FeasibilityError:
-        pass
-    value = _checked_float(acc, "the Estrada index lies")
-    bound = tail(d) if value == acc else _up(tail(d) + _up(float(abs(acc - Fraction(value)))))
-    return EstradaResult(value, "trace-series", bound, terms_used=d, converged=bound <= target_tol)
+    return tail
 
 
 def _series_tail(k: int, rho: float, d: int) -> float:

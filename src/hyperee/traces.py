@@ -358,8 +358,9 @@ def vertex_trace_terms(
 ) -> tuple[Fraction, ...]:
     """All n per-vertex trace shares of order d, exactly; entry j-1 is
     vertex j's share.  The shares sum to trace_d, and the order-0 share is
-    (m-1)^(n-1) for every vertex.
-    """
+    (m-1)^(n-1) for every vertex.  It never consults the m-symmetry
+    labelling, so order 16 of gen_hyperpath(3, 20) is charged, and refused,
+    where trace_d returns 0 uncharged."""
     if d < 0:
         raise ValueError("trace order d must be >= 0")
     budget = budget or Budget()

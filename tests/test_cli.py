@@ -302,6 +302,21 @@ def test_integers_too_long_to_print_are_refused(capsys, argv):
     assert len(err.splitlines()) == 1  # one line, no traceback
 
 
+def test_unprintable_count_is_refused_before_the_spectrum(capsys, monkeypatch):
+    """Every multiplicity is at most k, so a k too long to print is refused
+    before the hyperstar's O(q^2)-bit multiplicities are formed."""
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("the spectrum was formed")
+
+    monkeypatch.setattr("hyperee.cli.spectrum", no_spectrum)
+    code, out, err = run_cli(capsys, "spectrum", "--star", "3", "40000")
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    bits = (80001 * 2**80000).bit_length()
+    assert err.startswith("infeasible:") and f"{bits}-bit" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_integer_text_limit_of_zero_prints_in_full():
     """With the interpreter's int-to-text limit switched off, the same
     trace is printed exactly."""

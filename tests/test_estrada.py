@@ -343,6 +343,62 @@ def test_series_on_a_long_path_answers_fast_and_honestly():
     assert mpmath.mpf(res.error_bound) >= _mp_remainder(h.eigenvalue_count(), 2.0, nxt)
 
 
+def test_series_refused_in_its_first_pass_skips_the_power_iteration(monkeypatch):
+    """With 10^5 selections the engine refuses order 12 of the 8-edge loose
+    path, where even the radius lower bound 1 leaves the tail above tol.
+    The series is then unconverged whatever the radius, so it takes the
+    degree bound 2 at that order and never runs the power iteration."""
+    def no_radius(h):
+        raise AssertionError("the power iteration ran")
+
+    h, budget = gen_hyperpath(3, 8), Budget(max_selections=10**5)
+    with pytest.raises(FeasibilityError):
+        trace_d(h, 12, budget=budget)
+    full = ee_trace_series(h, 1e-6)
+    monkeypatch.setattr(estrada, "spectral_radius", no_radius)
+    res = ee_trace_series(h, 1e-6, budget=budget)
+    assert res.terms_used == 12 and not res.converged
+    assert res.error_bound >= _series_tail(h.eigenvalue_count(), 2.0, 12)
+    assert abs(res.value - full.value) <= res.error_bound + full.error_bound
+
+
+def test_series_refused_after_its_first_pass_keeps_the_radius(monkeypatch):
+    """With 1,000 selections the engine refuses order 12 of the tight pair.
+    The tail at the radius lower bound 1 meets the goal before that order,
+    so the refusal comes in the second pass, after the power iteration,
+    and the bound is the tail at the radius, not at the degree bound 2."""
+    h, radii = CORPUS["tight-pair-3"], []
+
+    def radius(h):
+        radii.append(spectral_radius(h))
+        return radii[-1]
+
+    monkeypatch.setattr(estrada, "spectral_radius", radius)
+    res = ee_trace_series(h, 1e-6, budget=Budget(max_selections=1000))
+    k = h.eigenvalue_count()
+    assert res.terms_used == 12 and not res.converged and len(radii) == 1
+    assert _series_tail(k, 1.0, 12) <= 1e-6  # the first pass stopped below 12
+    tail = _series_tail(k, radii[0].upper, 12)
+    assert tail <= res.error_bound <= tail + math.ulp(res.value)
+    assert res.error_bound < _series_tail(k, 2.0, 12)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_series_stops_at_the_first_order_whose_tail_meets_its_goal(tol):
+    """On every corpus input terms_used is the first order whose tail at
+    the power-iteration radius, taken from the next order that can be
+    nonzero, leaves room for the rounding, or the order cap; the budget
+    plays no part."""
+    cap = Budget().max_degree
+    for name, h in CORPUS.items():
+        k, rho, step = h.eigenvalue_count(), spectral_radius(h).upper, traces._order_step(h, cap)
+        rounding = k * 2.0**-53 * math.exp(rho)
+        goal = tol - rounding if rounding < tol else math.nextafter(rounding, 0.0)
+        want = next((d for d in range(cap + 1)
+                     if _series_tail(k, rho, d + -d % step) <= goal), cap + 1)
+        assert ee_trace_series(h, tol).terms_used == want, name
+
+
 # Rotation-symmetric evaluation
 
 
