@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
-from .estrada import bounds_refined, estrada_index
+from .estrada import _checked_count, bounds_refined, estrada_index
 from .hypergraph import (
     HypergraphFormatError,
     UniformHypergraph,
@@ -163,17 +164,22 @@ def _emit(
     """Print one report in the --format asked for: the JSON document, its
     CSV rows, or the human lines.  The CSV columns are the keys every row
     carries, so a key only some rows have (table1's reason) stays in the
-    JSON; None is written as an empty field."""
-    if args.format == "json":
-        print(json.dumps(document, indent=2))
-    elif args.format == "csv":
-        columns = [key for key in rows[0] if all(key in row for row in rows)]
-        writer = csv.DictWriter(sys.stdout, columns, extrasaction="ignore",
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    else:
-        print("\n".join(human))
+    JSON; None is written as an empty field.  A closed stdout ends the
+    report, and the command's exit code stands."""
+    try:
+        if args.format == "json":
+            print(json.dumps(document, indent=2))
+        elif args.format == "csv":
+            columns = [key for key in rows[0] if all(key in row for row in rows)]
+            writer = csv.DictWriter(sys.stdout, columns, extrasaction="ignore",
+                                    lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        else:
+            print("\n".join(human))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left (`| head`): the rest goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_ee(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -235,13 +241,11 @@ def cmd_bounds(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
     h = _resolve_input(args, parser)
-    budget = _budget(args)
-    s = None
-    if not h.edges or h.eigenvalue_count() <= budget.max_degree:
-        try:
-            s = spectrum(h, budget=budget)
-        except FeasibilityError:
-            s = None
+    _checked_count(h.eigenvalue_count())  # before a hyperstar's O(q^2)-bit multiplicities
+    try:
+        s = spectrum(h, budget=_budget(args))
+    except FeasibilityError:
+        s = None
     rep = bounds_refined(s, h)
     rho = rep.rho_used
     human = [

@@ -20,18 +20,18 @@ isomorphism class of its weighted support (the d-subgraph trace formula of
 Shao, Qi & Hu, Linear Multilinear Algebra 63 (2015)), so each call forms it
 once per class, under an exact canonical key, and keeps nothing after.
 
-trace_d and trace_sequence compute a range of orders in one pass (the
-range [d, d], and the range [0, max_d]).  An order proved zero is 0, never
-charged or refused; every other order is charged its own work before any
-trace is formed, and the first one refused raises FeasibilityError for the
-whole range.  For m >= 3 one depth-first search, on a stack of its own,
-finds the pick totals of every order in the range.
+trace_d, trace_sequence and vertex_trace_terms are views of one pass that
+forms the n per-vertex shares of every order in a range: the sums of the
+shares of [d, d] and of [0, max_d], and the shares of [d, d].  An order
+proved zero is 0, never charged or refused; every other order is charged
+its own work before any share is formed, and the first one refused raises
+FeasibilityError for the whole range.  For m >= 3 one depth-first search,
+on a stack of its own, finds the pick totals of every order in the range.
 
-Graphs (m = 2) take their traces tr(A^d) from matrix powers instead, taken
-in floating point modulo several moduli small enough to keep every product
-an exact integer, carried from order to order, and put together by the
-Chinese remainder theorem; the per-vertex decomposition stays on the
-Eulerian engine for every m, so the two routes check each other on graphs.
+Graphs (m = 2) take their shares, the diagonal of A^d, from matrix powers
+instead, taken in floating point modulo several moduli small enough to keep
+every product an exact integer, carried from order to order, and put
+together by the Chinese remainder theorem.
 
 Every result is exact: Python integers and fractions.Fraction.
 """
@@ -89,7 +89,8 @@ def trace_d(
     """
     if d < 0:
         raise ValueError("trace order d must be >= 0")
-    return _trace_range(h, d, d, budget or Budget())[0]
+    shares, denominator = _trace_range(h, d, d, budget or Budget())[0]
+    return Fraction(sum(shares), denominator)
 
 
 def _closed_form_cut(m: int, n: int, q: int, orders: Sequence[int], budget: Budget) -> int:
@@ -113,38 +114,38 @@ def _infeasible(n: int, m: int, d: int, budget: Budget) -> FeasibilityError:
     )
 
 
-def _trace_range(h: UniformHypergraph, lo: int, hi: int, budget: Budget) -> list[Fraction]:
-    """The traces of orders lo..hi, from one pass.  Orders 1..m-1, and the
-    orders that _order_step proves zero, are 0 and never charged; every
-    other order is charged its own work before any trace is formed, and
-    the first one refused raises FeasibilityError."""
+def _trace_range(h: UniformHypergraph, lo: int, hi: int,
+                 budget: Budget) -> list[tuple[list[int], int]]:
+    """The per-vertex shares of orders lo..hi from one pass, each order's
+    as n integer numerators (vertex j's at j-1) over one denominator.
+    Orders 1..m-1, and the orders that _order_step proves zero, are zeros
+    and never charged; every other order is charged its own work before
+    any share is formed, and the first one refused raises FeasibilityError."""
     m, n = h.m, h.n
     step = _order_step(h, hi)
     orders = [d for d in range(max(lo, m), hi + 1) if d % step == 0]
-    traces: dict[int, int | Fraction] = {}
+    shares: dict[int, tuple[list[int], int]] = {}
     if orders and m == 2:
         end = _closed_form_cut(m, n, 0, orders, budget)
         if end <= orders[-1]:
             raise _infeasible(n, m, end, budget)
-        traces = dict(zip(orders, _graph_trace(h, orders, step)))
+        shares = {d: (diagonal, 1) for d, diagonal in zip(orders, _graph_trace(h, orders, step))}
     elif orders and h.edges:
         ctx = _EnumerationContext(h)
-        scale = (m - 1) ** n
-        traces = {d: sum(_accumulate(ctx, c), Fraction(0)) * scale
-                  for d, c in _sigma_range(ctx, orders, budget).items()}
-    return [Fraction(h.eigenvalue_count() if d == 0 else traces.get(d, 0))
-            for d in range(lo, hi + 1)]
+        shares = {d: _accumulate(ctx, c) for d, c in _sigma_range(ctx, orders, budget).items()}
+    start = [(m - 1) ** (n - 1)] * n, 1
+    return [start if d == 0 else shares.get(d, ([0] * n, 1)) for d in range(lo, hi + 1)]
 
 
-def _graph_trace(h: UniformHypergraph, orders: list[int], step: int) -> Iterator[int]:
-    """tr(A^d) exactly for each of the ascending orders, all multiples of
-    step (1 or 2), by the Chinese remainder theorem over float64 matrix
-    powers modulo pairwise coprime p with n p^2 < 2^53, so every matrix
-    product is an exact integer before it is reduced mod p.  Each modulus
-    keeps its power of A and multiplies it by A^step from one order to the
-    next; a modulus first needed at order d gets A^d by repeated squaring.
-    0 <= tr(A^d) <= n rho^d <= n B^(d/2), B the largest d_u d_v over the
-    edges uv (Berman and Zhang, J. Combin. Theory Ser. B 83 (2001))."""
+def _graph_trace(h: UniformHypergraph, orders: list[int], step: int) -> Iterator[list[int]]:
+    """The diagonal of A^d exactly for each of the ascending orders, all
+    multiples of step (1 or 2), by the Chinese remainder theorem over float64
+    matrix powers modulo pairwise coprime p with n p^2 < 2^53, so every
+    matrix product is an exact integer before it is reduced mod p.  Each
+    modulus keeps its power of A and multiplies it by A^step from one order
+    to the next; a modulus first needed at order d gets A^d by repeated
+    squaring.  0 <= (A^d)_vv <= rho^d <= B^(d/2), B the largest d_u d_v over
+    the edges uv (Berman and Zhang, J. Combin. Theory Ser. B 83 (2001))."""
     n = h.n
     adj = np.zeros((n, n))
     for u, v in h.edges:
@@ -155,8 +156,8 @@ def _graph_trace(h: UniformHypergraph, orders: list[int], step: int) -> Iterator
     p = math.isqrt(2**53 // n)
     powers: list[tuple[int, int, np.ndarray]] = []  # (p, d, A^d mod p)
     for d in orders:
-        bound = math.isqrt(n * n * b**d)  # tr(A^d) is an integer <= n B^(d/2)
-        value, modulus, i = 0, 1, 0
+        bound = math.isqrt(b**d)  # each (A^d)_vv is an integer <= B^(d/2)
+        values, modulus, i = [0] * n, 1, 0
         while modulus <= bound:
             if i == len(powers):  # modulus is the product of all of them
                 while math.gcd(p, modulus) != 1:
@@ -172,11 +173,12 @@ def _graph_trace(h: UniformHypergraph, orders: list[int], step: int) -> Iterator
                 if k:
                     base = base @ base % prime
             powers[i] = (prime, d, power)
-            residue = int(np.trace(power))
-            value += modulus * ((residue - value) * pow(modulus, -1, prime) % prime)
+            inverse = pow(modulus, -1, prime)
+            values = [value + modulus * ((int(residue) - value) * inverse % prime)
+                      for value, residue in zip(values, np.diagonal(power))]
             modulus *= prime
             i += 1
-        yield value
+        yield values
 
 
 def trace_sequence(
@@ -194,7 +196,8 @@ def trace_sequence(
     """
     if max_d < 0:
         raise ValueError("max_d must be >= 0")
-    return TraceSequence(h.m, h.n, tuple(_trace_range(h, 0, max_d, budget or Budget())))
+    ranged = _trace_range(h, 0, max_d, budget or Budget())
+    return TraceSequence(h.m, h.n, tuple(Fraction(sum(s), den) for s, den in ranged))
 
 
 def _order_step(h: UniformHypergraph, top: int) -> int:
@@ -357,22 +360,13 @@ def vertex_trace_terms(
     budget: Budget | None = None,
 ) -> tuple[Fraction, ...]:
     """All n per-vertex trace shares of order d, exactly; entry j-1 is
-    vertex j's share.  The shares sum to trace_d, and the order-0 share is
-    (m-1)^(n-1) for every vertex.  It never consults the m-symmetry
-    labelling, so order 16 of gen_hyperpath(3, 20) is charged, and refused,
-    where trace_d returns 0 uncharged."""
+    vertex j's share.  They sum to trace_d, come from its pass and are
+    charged, proved zero or refused as it does; the order-0 share is
+    (m-1)^(n-1), and on graphs the shares are the diagonal of A^d."""
     if d < 0:
         raise ValueError("trace order d must be >= 0")
-    budget = budget or Budget()
-    if d == 0:
-        share = Fraction((h.m - 1) ** (h.n - 1))
-        return tuple([share] * h.n)
-    if not h.edges:
-        return tuple([Fraction(0)] * h.n)
-    ctx = _EnumerationContext(h)
-    acc = _accumulate(ctx, _sigma_range(ctx, [d], budget).get(d, []))
-    scale = (h.m - 1) ** h.n
-    return tuple(a * scale for a in acc)
+    shares, denominator = _trace_range(h, d, d, budget or Budget())[0]
+    return tuple(Fraction(s, denominator) for s in shares)
 
 
 class _EnumerationContext:
@@ -519,7 +513,7 @@ def _join(
 def _accumulate(
     ctx: _EnumerationContext,
     candidates: list[tuple[int, ...]],
-) -> list[Fraction]:
+) -> tuple[list[int], int]:
     """Sum the per-vertex contributions of every pick configuration.
 
     For a configuration with per-edge totals sigma, vertex v makes
@@ -537,9 +531,9 @@ def _accumulate(
 
         T * prod_v s_v! / (prod_v (m-1) s_v * prod_e sigma_e!)
 
-    per pick of each active vertex; these are summed over the least common
-    denominator.  The caller multiplies the final vector by (m-1)^n: the
-    global (m-1)^(n-1) together with one m-1 per start-vertex arc share.
+    per pick of each active vertex; the sums, times (m-1)^n (the global
+    (m-1)^(n-1) together with one m-1 per start-vertex arc share), are
+    returned as n numerators over their least common denominator.
 
     That weight depends only on the isomorphism class of the weighted
     support, the active edges with their totals: an isomorphism carries
@@ -575,13 +569,13 @@ def _accumulate(
                 weights[key] = weight
         if weight[0]:
             parts.append((*weight, s))
-    common = math.lcm(*(den for _, den, _ in parts))
+    common, scale = math.lcm(*(den for _, den, _ in parts)), (m - 1) ** n
     acc = [0] * n
     for num, den, s in parts:
-        num *= common // den
+        num *= common // den * scale
         for v in range(n):
             acc[v] += num * s[v]
-    return [Fraction(a, common) for a in acc]
+    return acc, common
 
 
 # the most orderings of equally coloured edges that _class_key tries

@@ -37,15 +37,20 @@ def adjacency_matrix(h: UniformHypergraph) -> np.ndarray:
     return a
 
 
-def matrix_power_sums(h: UniformHypergraph, max_d: int) -> list[int]:
-    """[trace(A^d) for d = 0..max_d] over exact integers."""
+def matrix_power_diagonals(h: UniformHypergraph, max_d: int) -> list[tuple[int, ...]]:
+    """[diagonal of A^d for d = 0..max_d] over exact integers."""
     a = adjacency_matrix(h).astype(object)
     power = np.eye(h.n, dtype=object)
     out = []
     for _ in range(max_d + 1):
-        out.append(int(np.trace(power)))
+        out.append(tuple(int(x) for x in np.diagonal(power)))
         power = power @ a
     return out
+
+
+def matrix_power_sums(h: UniformHypergraph, max_d: int) -> list[int]:
+    """[trace(A^d) for d = 0..max_d] over exact integers."""
+    return [sum(diagonal) for diagonal in matrix_power_diagonals(h, max_d)]
 
 
 def closed_walk_trace_terms(h: UniformHypergraph, d: int) -> tuple[Fraction, ...]:

@@ -16,6 +16,10 @@ import pytest
 import hyperee
 from conftest import CORPUS
 from hyperee.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_TABLE, main
+from hyperee.estrada import bounds_refined
+from hyperee.hypergraph import gen_hyperstar
+from hyperee.spectrum import spectrum
+from hyperee.traces import Budget
 
 
 def run_cli(capsys, *argv):
@@ -352,6 +356,36 @@ def test_bounds_human_without_spectrum(capsys):
     assert "upper bound (radius)" in out
 
 
+@pytest.mark.parametrize("q", [3, 10])
+def test_bounds_star_past_the_degree_cap_has_moment_bounds(capsys, q):
+    """A hyperstar's spectrum is closed-form at any k in float range, so its
+    moment bounds are reported, as bounds_refined gives them, though k is
+    past --budget-degree (448 and 22,020,096 against 128)."""
+    code, out, _ = run_cli(capsys, "bounds", "--star", "3", str(q), "--format", "json")
+    assert code == EXIT_OK
+    h = gen_hyperstar(3, q)
+    want = bounds_refined(spectrum(h), h)
+    payload = json.loads(out)
+    assert payload["k"] > Budget().max_degree
+    for key in ("upper_moment", "upper_moment_adjusted"):
+        assert payload[key] is not None
+        assert payload[key] == pytest.approx(getattr(want, key), rel=1e-9), key
+
+
+def test_bounds_refuses_a_count_past_float_range_before_the_spectrum(capsys, monkeypatch):
+    """k = 1201 * 2^1200 has no float: bounds refuses it before the
+    hyperstar's O(q^2)-bit multiplicities are formed."""
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("the spectrum was formed")
+
+    monkeypatch.setattr("hyperee.cli.spectrum", no_spectrum)
+    code, out, err = run_cli(capsys, "bounds", "--star", "3", "600")
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert err.startswith("infeasible:") and "beyond float range" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_bounds_csv_header(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--empty", "2", "4", "--format", "csv")
     assert code == EXIT_OK
@@ -464,6 +498,28 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "Tr_3 = 9"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [(("spectrum", "--star", "3", "10"), EXIT_OK),
+     (("table1", "--budget-selections", "1", "--format", "csv"), EXIT_TABLE)],
+)
+def test_closed_stdout_ends_the_report_quietly(argv, want):
+    """A reader that has gone (`| head`) ends the report: no traceback,
+    and the command's own exit code stands."""
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe fails with EPIPE
+    src = str(pathlib.Path(hyperee.__file__).parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperee.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == want
+    assert proc.stderr == ""
 
 
 def test_runtime_is_numpy_only_and_single_process():

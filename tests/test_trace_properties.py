@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,6 +28,7 @@ from hyperee.traces import (
     trace_sequence,
     vertex_trace_terms,
 )
+from test_traces import _engine_trace
 
 PROPERTY_SETTINGS = settings(
     max_examples=30, deadline=None, derandomize=True, database=None
@@ -44,11 +46,11 @@ def hypergraphs(draw, m: int, max_n: int, max_q: int) -> UniformHypergraph:
 @PROPERTY_SETTINGS
 @given(hypergraphs(2, 7, 8), st.integers(0, 7))
 def test_graph_routes_agree(h, d):
-    """Matrix powers, the Eulerian per-vertex engine and the dense oracle
-    give the same exact graph trace."""
+    """Matrix powers, the Eulerian engine and the dense oracle give the same
+    exact graph trace."""
     want = matrix_power_sums(h, d)[d]
     assert trace_d(h, d) == want
-    assert sum(vertex_trace_terms(h, d)) == want
+    assert _engine_trace(h, d) == want
 
 
 @PROPERTY_SETTINGS
@@ -83,7 +85,7 @@ def test_walk_cross_check_agrees(h, d):
 def test_rotation_labelling_matches_search(h):
     """The solver finds a labelling exactly when a search of all m^n
     labellings does; when it finds one, every order up to 12 that m does
-    not divide has trace 0 in the per-vertex engine, which never consults
+    not divide has trace 0 in the Eulerian engine, which never consults
     the labelling."""
     labels = _rotation_labelling(h)
     assert (labels is not None) == has_rotation_labelling(h)
@@ -91,12 +93,14 @@ def test_rotation_labelling_matches_search(h):
         assert all(sum(labels[v - 1] for v in e) % h.m == 1 for e in h.edges)
         for d in range(1, 13):
             if d % h.m:
-                assert sum(vertex_trace_terms(h, d)) == 0
+                assert _engine_trace(h, d) == 0
                 assert trace_d(h, d) == 0
 
 
-def _range(h: UniformHypergraph, lo: int, hi: int) -> list:
-    return traces._trace_range(h, lo, hi, Budget())
+def _range(h: UniformHypergraph, lo: int, hi: int) -> list[tuple[Fraction, ...]]:
+    """The per-vertex shares of orders lo..hi from one pass."""
+    return [tuple(Fraction(s, denominator) for s in shares)
+            for shares, denominator in traces._trace_range(h, lo, hi, Budget())]
 
 
 small_hypergraphs = st.sampled_from([3, 4]).flatmap(lambda m: hypergraphs(m, 6, 4))
@@ -105,8 +109,11 @@ small_hypergraphs = st.sampled_from([3, 4]).flatmap(lambda m: hypergraphs(m, 6, 
 @PROPERTY_SETTINGS
 @given(small_hypergraphs, st.integers(0, 12))
 def test_range_equals_per_order_traces(h, lo):
-    """One pass over orders lo..12 gives what each order alone gives."""
-    assert _range(h, lo, 12) == [trace_d(h, d) for d in range(lo, 13)]
+    """One pass over orders lo..12 gives the shares each order alone
+    gives, and they sum to the traces."""
+    shares = _range(h, lo, 12)
+    assert shares == [vertex_trace_terms(h, d) for d in range(lo, 13)]
+    assert [sum(s) for s in shares] == [trace_d(h, d) for d in range(lo, 13)]
 
 
 # the brute-force oracle takes up to half a second per input at order 6
@@ -114,20 +121,19 @@ def test_range_equals_per_order_traces(h, lo):
 @given(small_hypergraphs)
 @example(from_edge_list(3, 5, [(1, 3, 4), (2, 3, 4), (3, 4, 5)]))
 def test_range_equals_closed_walk_oracle(h):
-    """The range's traces up to order 6 are the sums of the brute-force
-    closed-walk shares."""
-    want = [sum(closed_walk_trace_terms(h, d)) for d in range(7)]
-    assert _range(h, 0, 6) == want
+    """The range's shares up to order 6 are the brute-force closed-walk
+    shares, entry by entry."""
+    assert _range(h, 0, 6) == [closed_walk_trace_terms(h, d) for d in range(7)]
 
 
 @PROPERTY_SETTINGS
 @given(small_hypergraphs, st.randoms(use_true_random=False))
 def test_range_invariant_under_relabelling(h, rng):
-    """Traces are spectral: a relabelling of the vertices keeps them."""
+    """A relabelling of the vertices moves each share with its vertex."""
     perm = list(range(1, h.n + 1))
     rng.shuffle(perm)
     moved = from_edge_list(h.m, h.n, [tuple(perm[v - 1] for v in e) for e in h.edges])
-    assert _range(moved, 0, 12) == _range(h, 0, 12)
+    assert [tuple(s[p - 1] for p in perm) for s in _range(moved, 0, 12)] == _range(h, 0, 12)
 
 
 @PROPERTY_SETTINGS

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from _oracles import (
     closed_walk_trace_terms,
     fraction_determinant,
     has_rotation_labelling,
+    matrix_power_diagonals,
     matrix_power_sums,
     star_trace,
     weighted_supports_isomorphic,
@@ -210,20 +213,47 @@ def _reduced_balanced_laplacian(rng: random.Random, n: int) -> list[list[int]]:
 def test_graph_range_carries_matrix_powers():
     """Over a range each modulus carries its power of A from order to order
     (A^2 on a bipartite graph), and moduli join as the orders grow, as many
-    as n B^(d/2) needs, B the largest d_u d_v over the edges; the traces stay
-    exact on K_12, on K_8,8 (whose trace 2*8^d at d = 8 and 16 needs the
-    factor n), on a graph star and on one with a chord (skewed degrees, not
-    bipartite), over consecutive orders and over uneven gaps."""
+    as B^(d/2) needs, B the largest d_u d_v over the edges; the diagonal of
+    A^d stays exact on K_12, on K_8,8, on a graph star (whose centre's entry
+    q^(d/2) at even d meets the bound) and on one with a chord (skewed
+    degrees, not bipartite), over consecutive orders and over uneven gaps,
+    and the traces are its sums."""
     k12 = from_edge_list(2, 12, itertools.combinations(range(1, 13), 2))
     k88 = from_edge_list(2, 16, [(i, j) for i in range(1, 9) for j in range(9, 17)])
     star = gen_hyperstar(2, 30)
     chord = from_edge_list(2, 31, [*star.edges, (2, 3)])
     for h, step, some in ((k12, 1, [5, 6, 17, 40]), (k88, 2, [2, 8, 16, 40]),
                           (star, 2, [2, 8, 10, 40]), (chord, 1, [3, 4, 21, 40])):
-        want = matrix_power_sums(h, 40)
-        assert list(trace_sequence(h, 40).values) == want
-        assert [trace_d(h, d) for d in range(41)] == want
-        assert list(traces._graph_trace(h, some, step)) == [want[d] for d in some]
+        want = matrix_power_diagonals(h, 40)
+        assert list(trace_sequence(h, 40).values) == [sum(w) for w in want]
+        assert [vertex_trace_terms(h, d) for d in range(41)] == [
+            tuple(map(Fraction, w)) for w in want]
+        assert list(traces._graph_trace(h, some, step)) == [list(want[d]) for d in some]
+
+
+def test_graph_shares_are_fast_matrix_power_diagonals():
+    """The per-vertex shares of a graph are the diagonal of A^d, from the
+    matrix powers of trace_d, not from the Eulerian search: well under a
+    second each on K_10 at order 6 and on K_8 at order 8."""
+    for n, d in ((10, 6), (8, 8)):
+        h = from_edge_list(2, n, itertools.combinations(range(1, n + 1), 2))
+        start = time.perf_counter()
+        terms = vertex_trace_terms(h, d)
+        assert time.perf_counter() - start < 1.0, (n, d)
+        assert terms == tuple(map(Fraction, matrix_power_diagonals(h, d)[d]))
+
+
+def test_vertex_terms_keep_the_trace_refusals_and_zeros():
+    """The shares are charged and proved zero as trace_d is: a graph order
+    past n^3 * bits(d) is refused with trace_d's message, and an order of a
+    loose path that 3 does not divide is zero, uncharged."""
+    h = CORPUS["rand-2-b"]
+    tight = Budget(max_selections=h.n**3 * 3)  # admits orders up to 7
+    with pytest.raises(FeasibilityError) as refused:
+        trace_d(h, 8, tight)
+    with pytest.raises(FeasibilityError, match=re.escape(str(refused.value))):
+        vertex_trace_terms(h, 8, tight)
+    assert vertex_trace_terms(gen_hyperpath(3, 20), 16) == (Fraction(0),) * 41
 
 
 def test_det_bareiss_matches_rational_elimination():
@@ -358,9 +388,15 @@ def test_complete_three_graph_on_four_vertices_is_not_symmetric():
     assert trace_d(h, 4) == 168
 
 
-def _engine_trace(h, d):
-    """Tr_d from the per-vertex engine, which never consults the labelling."""
-    return sum(vertex_trace_terms(h, d), Fraction(0))
+def _engine_trace(h, d, budget=None):
+    """Tr_d from the sigma search and the per-vertex accumulation alone, the
+    Eulerian engine, which never consults the labelling (graphs included)."""
+    if d == 0 or not h.edges:
+        return Fraction(h.eigenvalue_count() if d == 0 else 0)
+    ctx = traces._EnumerationContext(h)
+    found = traces._sigma_range(ctx, [d], budget or Budget())
+    shares, denominator = traces._accumulate(ctx, found.get(d, []))
+    return Fraction(sum(shares), denominator)
 
 
 def test_certified_zero_orders_match_the_engine():
@@ -375,21 +411,22 @@ def test_certified_zero_orders_match_the_engine():
 
 
 def test_certified_orders_keep_the_engine_refusals():
-    """An order the labelling proves zero is 0 under any budget, while
-    the per-vertex engine, which never consults the labelling, still
-    refuses it past its closed-form budget."""
+    """An order the labelling proves zero is 0 under any budget, in the
+    traces and in the per-vertex shares, while the engine, which never
+    consults the labelling, still refuses it past its closed-form budget."""
     h = CORPUS["path-3-3"]
     tight = Budget(max_selections=15 - 1)  # C(4 + 2, 2) = 15 sigma vectors at order 4
     assert traces._rotation_labelling(h) is not None
     assert trace_d(h, 4, tight) == 0
+    assert vertex_trace_terms(h, 4, tight) == (Fraction(0),) * h.n
     with pytest.raises(FeasibilityError, match="d=4"):
-        vertex_trace_terms(h, 4, tight)
+        _engine_trace(h, 4, tight)
     assert trace_d(h, 4, Budget(max_selections=15)) == 0
 
 
 def test_trace_sequence_equals_the_engine():
     """Skipping certified orders leaves every value of the sequence as an
-    engine that never consults the labelling computes it: the per-vertex
+    engine that never consults the labelling computes it: the Eulerian
     engine, and dense integer matrix powers for graphs."""
     for name, h in CORPUS.items():
         ts = trace_sequence(h, 12)
