@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 argument/parse errors, 2 feasibility refusals,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -164,9 +165,8 @@ def _emit(
     """Print one report in the --format asked for: the JSON document, its
     CSV rows, or the human lines.  The CSV columns are the keys every row
     carries, so a key only some rows have (table1's reason) stays in the
-    JSON; None is written as an empty field.  A closed stdout ends the
-    report, and the command's exit code stands."""
-    try:
+    JSON; None is written as an empty field."""
+    with _reader_may_leave():
         if args.format == "json":
             print(json.dumps(document, indent=2))
         elif args.format == "csv":
@@ -177,6 +177,14 @@ def _emit(
             writer.writerows(rows)
         else:
             print("\n".join(human))
+
+
+@contextlib.contextmanager
+def _reader_may_leave():
+    """Write to stdout in the block, then flush it.  A closed stdout ends
+    the output quietly, and the command's exit code stands."""
+    try:
+        yield
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left (`| head`): the rest goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -334,7 +342,8 @@ def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
     else:
-        sys.stdout.write(text)
+        with _reader_may_leave():
+            sys.stdout.write(text)
     return EXIT_OK
 
 

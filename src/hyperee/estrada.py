@@ -138,8 +138,8 @@ def ee_trace_series(
     """EE as the exact series sum_d Tr_d / d!, certified truncation.
 
     Orders 0..D-1 are accumulated as exact rationals, and the sum is
-    rounded to the nearest float; error_bound is the tail
-    _series_tail(k, rho, D') plus that rounding, rounded up.  D' is the
+    rounded to the nearest float; error_bound is the tail, item D' of
+    _series_tails(k, rho), plus that rounding, rounded up.  D' is the
     first order >= D that can be nonzero, and the tail bounds everything
     left because |Tr_d| <= k * rho^d.  The rounding is within 2^-53 k e^rho,
     so the tail's goal is target_tol less that, or just under the rounding
@@ -189,8 +189,8 @@ def ee_trace_series(
 
 
 def _tail_from(k: int, rho: float, step: int) -> Callable[[int], float]:
-    """d -> _series_tail(k, rho, d') for d' the first multiple of step >= d."""
-    tails, known = _series_tails(k, rho), []  # known[d] is _series_tail(k, rho, d)
+    """d -> item d' of _series_tails(k, rho), d' the first multiple of step >= d."""
+    tails, known = _series_tails(k, rho), []  # known[d] is item d
 
     def tail(d: int) -> float:
         d += -d % step
@@ -199,12 +199,6 @@ def _tail_from(k: int, rho: float, step: int) -> Callable[[int], float]:
         return known[d]
 
     return tail
-
-
-def _series_tail(k: int, rho: float, d: int) -> float:
-    """An upper bound on k * sum_{j >= d} rho^j / j!: item d of
-    _series_tails(k, rho)."""
-    return next(itertools.islice(_series_tails(k, rho), d, None))
 
 
 def _series_tails(k: int, rho: float) -> Iterator[float]:

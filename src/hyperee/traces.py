@@ -18,7 +18,8 @@ pick; the per-vertex shares are summed in integers over one common
 denominator.  The split sum of a vector of pick totals depends only on the
 isomorphism class of its weighted support (the d-subgraph trace formula of
 Shao, Qi & Hu, Linear Multilinear Algebra 63 (2015)), so each call forms it
-once per class, under an exact canonical key, and keeps nothing after.
+once per exact key of the support, canonical when no two of its edges
+tie, and keeps nothing after.
 
 trace_d, trace_sequence and vertex_trace_terms are views of one pass that
 forms the n per-vertex shares of every order in a range: the sums of the
@@ -38,7 +39,6 @@ Every result is exact: Python integers and fractions.Fraction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from collections.abc import Iterator, Sequence
@@ -539,9 +539,9 @@ def _accumulate(
     support, the active edges with their totals: an isomorphism carries
     the splits of one onto the splits of the other, and a balanced
     digraph has as many arborescences towards each of its vertices.  So
-    it is formed once per class (_class_key) in this call and reused for
-    the other candidates of the class; a candidate with no key is summed
-    on its own.  Nothing is kept from one call to the next.
+    it is formed once per key of the support (_class_key) in this call
+    and reused for the other candidates with that key.  Nothing is kept
+    from one call to the next.
     """
     m, n, edges = ctx.m, ctx.n, ctx.edges
     weights: dict[tuple, tuple[int, int]] = {}  # class key -> (numerator, denominator)
@@ -555,7 +555,7 @@ def _accumulate(
         for v in range(n):
             s[v] //= m
         key = _class_key(edges, sigma)
-        weight = weights.get(key) if key else None
+        weight = weights.get(key)
         if weight is None:
             num, den = _sum_over_tables(ctx, sigma, s), 1
             for se in sigma:
@@ -564,9 +564,7 @@ def _accumulate(
                 if sv:
                     num *= math.factorial(sv)
                     den *= (m - 1) * sv
-            weight = num, den
-            if key:
-                weights[key] = weight
+            weight = weights[key] = num, den
         if weight[0]:
             parts.append((*weight, s))
     common, scale = math.lcm(*(den for _, den, _ in parts)), (m - 1) ** n
@@ -578,41 +576,27 @@ def _accumulate(
     return acc, common
 
 
-# the most orderings of equally coloured edges that _class_key tries
-_KEY_ORDERINGS = 24
-
-
-def _class_key(edges: list[tuple[int, ...]], sigma: tuple[int, ...]) -> tuple | None:
-    """An exact canonical form of the weighted support of sigma, or None.
+def _class_key(edges: list[tuple[int, ...]], sigma: tuple[int, ...]) -> tuple:
+    """An exact key of the weighted support of sigma.
 
     Each active edge is coloured by its total and the sorted degrees of its
-    vertices among the active edges, and the edges are sorted by colour.
-    For an ordering of the edges, vertex v's membership mask has bit j set
-    when v lies in the j-th edge; the sorted masks give the support back up
-    to the names of its vertices.  The key is the colours in order with
-    the least sorted masks over all orderings that keep the colours sorted:
-    two supports get equal keys exactly when some bijection of their edges
-    keeps totals and incidences.  None when the ties of equal colours
-    allow more than _KEY_ORDERINGS orderings."""
+    vertices among the active edges, and the edges are sorted by colour,
+    ties broken by edge index.  In that order, vertex v's membership mask
+    has bit j set when v lies in the j-th edge; the sorted masks give the
+    support back up to the names of its vertices.  The key is the colours
+    in order with the sorted masks, so equal keys mean isomorphic supports:
+    the j-th edges correspond, and so do vertices with equal masks.  When
+    no two active edges share a colour the order is forced, and the key is
+    canonical; under ties two isomorphic supports may get different keys,
+    which costs a shared sum, never a wrong one."""
     active = [i for i, se in enumerate(sigma) if se]
     degree: dict[int, int] = {}
     for i in active:
         for v in edges[i]:
             degree[v] = degree.get(v, 0) + 1
     coloured = sorted(((sigma[i], *sorted(degree[v] for v in edges[i])), i) for i in active)
-    groups: list[list[int]] = []  # runs of equal colours, as edge indices
-    orderings = 1
-    for j, (colour, i) in enumerate(coloured):
-        if j and colour == coloured[j - 1][0]:
-            groups[-1].append(i)
-            orderings *= len(groups[-1])
-        else:
-            groups.append([i])
-    if orderings > _KEY_ORDERINGS:
-        return None
-    orders = itertools.product(*(itertools.permutations(g) for g in groups))
     return (tuple(colour for colour, _ in coloured),
-            min(_membership(edges, degree, itertools.chain(*order)) for order in orders))
+            _membership(edges, degree, (i for _, i in coloured)))
 
 
 def _membership(edges: list[tuple[int, ...]], vertices, order) -> tuple[int, ...]:
@@ -700,7 +684,7 @@ def _sum_over_tables(
             running[v] += left
     steps.reverse()
     remaining = list(s)
-    det = _DETERMINANTS[len(lap)] if len(lap) < len(_DETERMINANTS) else _det_copy
+    det = _DETERMINANTS[len(lap)] if len(lap) < len(_DETERMINANTS) else _det_bareiss
     total = 0
 
     def edge_rec(pos: int, weight: int) -> None:
@@ -787,14 +771,10 @@ _DETERMINANTS = (
 )
 
 
-def _det_copy(a: list[list[int]]) -> int:
-    return _det_bareiss([row[:] for row in a])
-
-
 def _det_bareiss(a: list[list[int]]) -> int:
     """Exact determinant of a reduced out-degree Laplacian, or of the core
-    matrix _sum_over_tables keeps, by fraction-free Gaussian elimination;
-    the rows of a are overwritten.
+    matrix _sum_over_tables keeps, by fraction-free Gaussian elimination
+    on a copy of a.
 
     a is a Z-matrix (off-diagonal entries <= 0) whose rows sum to >= 0:
     the full Laplacian's rows sum to 0, and each row loses only its entry
@@ -812,7 +792,7 @@ def _det_bareiss(a: list[list[int]]) -> int:
     size = len(a)
     if size == 0:
         return 1
-    prev = 1
+    a, prev = [row[:] for row in a], 1
     for k in range(size - 1):
         if a[k][k] == 0:
             return 0

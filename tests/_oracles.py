@@ -12,7 +12,9 @@ the pick totals themselves through a search of every vector,
 and isomorphism of weighted supports through every bijection of their
 edges, so a bug in the trace engine, its class keys, the root pipeline,
 the orbit formula, the star test or the labelling solver cannot hide in
-its own oracle.
+its own oracle.  One helper, series_tail, is no oracle: it indexes the
+library's own series tail bounds by order, for the tests that check them
+against mpmath and use them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from hyperee.estrada import _series_tails
 from hyperee.hypergraph import UniformHypergraph
 
 
@@ -414,3 +417,9 @@ def hyperstar_ee_m4(q: int) -> float:
         x = r**0.25
         total += c_r * (2.0 * math.cos(x) + math.exp(-x) + math.exp(x) - 3.0)
     return total
+
+
+def series_tail(k: int, rho: float, d: int) -> float:
+    """The library's upper bound on k * sum_{j >= d} rho^j / j!: item d of
+    estrada._series_tails(k, rho)."""
+    return next(itertools.islice(_series_tails(k, rho), d, None))

@@ -503,7 +503,8 @@ def test_console_entry_point():
 @pytest.mark.parametrize(
     "argv, want",
     [(("spectrum", "--star", "3", "10"), EXIT_OK),
-     (("table1", "--budget-selections", "1", "--format", "csv"), EXIT_TABLE)],
+     (("table1", "--budget-selections", "1", "--format", "csv"), EXIT_TABLE),
+     (("gen", "--path", "3", "2000"), EXIT_OK)],
 )
 def test_closed_stdout_ends_the_report_quietly(argv, want):
     """A reader that has gone (`| head`) ends the report: no traceback,

@@ -19,6 +19,7 @@ from _oracles import (
     matrix_estrada,
     orbit_sum_m3,
     orbit_sum_m4,
+    series_tail,
 )
 from conftest import CORPUS
 from hyperee import estrada, tensor, traces
@@ -28,7 +29,6 @@ from hyperee.estrada import (
     ee_from_spectrum,
     ee_hyperstar,
     ee_symmetric,
-    _series_tail,
     ee_trace_series,
     estrada_index,
     order_m_trace,
@@ -190,7 +190,7 @@ def test_series_tail_bounds_the_remainder(k):
     or above the exact remainder; rho straddles d + 1 on purpose."""
     for rho in (0.0, 1e-3, 0.5, 1.0, 1.5874, 2.0, 3.99, 7.999999, 8.0, 8.000001, 20.0):
         for d in (0, 1, 2, 3, 6, 7, 8, 9, 12, 21, 40, 90):
-            got = _series_tail(k, rho, d)
+            got = series_tail(k, rho, d)
             assert mpmath.mpf(got) >= _mp_remainder(k, rho, d), (rho, d)
 
 
@@ -198,8 +198,8 @@ def test_series_tail_is_sharp_past_the_peak():
     """Past the largest term the geometric form replaces the factor e^rho."""
     k, rho, d = 448, 3.0, 18
     first = k * rho**d / math.factorial(d)
-    assert _series_tail(k, rho, d) == pytest.approx(first * (d + 1) / (d + 1 - rho))
-    assert _series_tail(k, rho, d) < first * math.exp(rho) / 10
+    assert series_tail(k, rho, d) == pytest.approx(first * (d + 1) / (d + 1 - rho))
+    assert series_tail(k, rho, d) < first * math.exp(rho) / 10
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -208,7 +208,7 @@ def test_series_tail_is_sharp_past_the_peak():
 def test_series_tail_never_grows_with_the_order(k, rho, d):
     """The remainder from order d + 1 is part of the one from d, and so
     is its bound, also while d is below rho."""
-    assert _series_tail(k, rho, d + 1) <= _series_tail(k, rho, d)
+    assert series_tail(k, rho, d + 1) <= series_tail(k, rho, d)
 
 
 def test_series_cut_short_below_rho_keeps_the_least_bound():
@@ -261,9 +261,9 @@ def test_series_enumerates_only_orders_that_can_be_nonzero(monkeypatch):
     nxt = res.terms_used + (-res.terms_used % 3)
     assert nxt > res.terms_used
     # the bound adds the rounding of the exact sum to the float value
-    tail = _series_tail(h.eigenvalue_count(), 1.5, nxt)
+    tail = series_tail(h.eigenvalue_count(), 1.5, nxt)
     assert tail <= res.error_bound <= tail + math.ulp(res.value)
-    assert res.error_bound < _series_tail(h.eigenvalue_count(), 1.5, res.terms_used)
+    assert res.error_bound < series_tail(h.eigenvalue_count(), 1.5, res.terms_used)
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])
@@ -283,12 +283,12 @@ def test_series_bound_covers_its_own_rounding(n):
     # the bound is the tail plus the exact rounding of the partial sum
     acc = sum(Fraction(t) / math.factorial(j)
               for j, t in enumerate(trace_sequence(h, d - 1).values))
-    assert res.error_bound >= _series_tail(k, rho, d) + abs(Fraction(res.value) - acc)
+    assert res.error_bound >= series_tail(k, rho, d) + abs(Fraction(res.value) - acc)
     rounding = k * 2.0**-53 * math.exp(rho)
     if rounding < 1e-6:  # the tail leaves the rounding room under the target
-        assert _series_tail(k, rho, d) <= 1e-6 - rounding < _series_tail(k, rho, d - 1)
+        assert series_tail(k, rho, d) <= 1e-6 - rounding < series_tail(k, rho, d - 1)
     else:  # the rounding alone exceeds it: stop once the tail is below it
-        assert _series_tail(k, rho, d) < rounding <= _series_tail(k, rho, d - 1)
+        assert series_tail(k, rho, d) < rounding <= series_tail(k, rho, d - 1)
 
 
 # ee_trace_series(h, 1e-8) before orders certified zero were skipped and
@@ -358,7 +358,7 @@ def test_series_refused_in_its_first_pass_skips_the_power_iteration(monkeypatch)
     monkeypatch.setattr(estrada, "spectral_radius", no_radius)
     res = ee_trace_series(h, 1e-6, budget=budget)
     assert res.terms_used == 12 and not res.converged
-    assert res.error_bound >= _series_tail(h.eigenvalue_count(), 2.0, 12)
+    assert res.error_bound >= series_tail(h.eigenvalue_count(), 2.0, 12)
     assert abs(res.value - full.value) <= res.error_bound + full.error_bound
 
 
@@ -377,10 +377,10 @@ def test_series_refused_after_its_first_pass_keeps_the_radius(monkeypatch):
     res = ee_trace_series(h, 1e-6, budget=Budget(max_selections=1000))
     k = h.eigenvalue_count()
     assert res.terms_used == 12 and not res.converged and len(radii) == 1
-    assert _series_tail(k, 1.0, 12) <= 1e-6  # the first pass stopped below 12
-    tail = _series_tail(k, radii[0].upper, 12)
+    assert series_tail(k, 1.0, 12) <= 1e-6  # the first pass stopped below 12
+    tail = series_tail(k, radii[0].upper, 12)
     assert tail <= res.error_bound <= tail + math.ulp(res.value)
-    assert res.error_bound < _series_tail(k, 2.0, 12)
+    assert res.error_bound < series_tail(k, 2.0, 12)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
@@ -395,7 +395,7 @@ def test_series_stops_at_the_first_order_whose_tail_meets_its_goal(tol):
         rounding = k * 2.0**-53 * math.exp(rho)
         goal = tol - rounding if rounding < tol else math.nextafter(rounding, 0.0)
         want = next((d for d in range(cap + 1)
-                     if _series_tail(k, rho, d + -d % step) <= goal), cap + 1)
+                     if series_tail(k, rho, d + -d % step) <= goal), cap + 1)
         assert ee_trace_series(h, tol).terms_used == want, name
 
 

@@ -309,19 +309,20 @@ def class_inputs(draw) -> UniformHypergraph:
 
 def _keyless(h: UniformHypergraph, max_d: int):
     """The traces to max_d and the per-vertex shares of each order, with
-    every candidate summed on its own instead of once per class."""
+    every candidate summed on its own instead of once per class: keyed by
+    its own totals, as no two candidates of one order share them."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(traces, "_class_key", lambda edges, sigma: None)
+        mp.setattr(traces, "_class_key", lambda edges, sigma: tuple(sigma))
         return trace_sequence(h, max_d), [vertex_trace_terms(h, d) for d in range(max_d + 1)]
 
 
 @settings(PROPERTY_SETTINGS, max_examples=20)
 @given(class_inputs())
 # symmetric inputs, whose candidates fall into few classes: loose paths, a
-# star plus an edge between its leaves, K_5^(3), whose widest supports have
-# too many tied orderings for a key and are summed on their own, and two
-# four-edge components whose edges all have one colour, though they are
-# not isomorphic (any two edges of the first meet in one vertex)
+# star plus an edge between its leaves, K_5^(3), whose supports tie many
+# edge colours and are keyed in edge-index order, and two four-edge
+# components whose edges all have one colour, though they are not
+# isomorphic (any two edges of the first meet in one vertex)
 @example(from_edge_list(3, 12, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6),
                                 (7, 8, 9), (7, 8, 10), (9, 11, 12), (10, 11, 12)]))
 @example(gen_hyperpath(3, 4))
@@ -366,5 +367,5 @@ def test_determinants_match_rational_elimination(size, data):
     kept = [row[:] for row in a]
     if size < len(traces._DETERMINANTS):
         assert traces._DETERMINANTS[size](a) == want
-    assert traces._det_copy(a) == want
+    assert traces._det_bareiss(a) == want
     assert a == kept

@@ -520,45 +520,85 @@ def _keyed_supports(h, orders):
     ]
 
 
+def _tie_free(key) -> bool:
+    """No two active edges of the keyed support share a colour."""
+    return len(set(key[0])) == len(key[0])
+
+
 def test_class_keys_match_the_isomorphism_oracle():
-    """Over every pair of candidates of several inputs, pooled, two keys
-    are equal exactly when brute force over the edge bijections finds the
-    weighted supports isomorphic.  The pool holds supports that differ in
-    their totals alone, and PASCH and TWO_PAIRS, whose edge colours are
-    equal."""
+    """Over every pair of candidates of several inputs, pooled, equal keys
+    mean that brute force over the edge bijections finds the weighted
+    supports isomorphic, and on pairs with no tied edge colours the keys
+    are equal exactly when the supports are.  The pool holds supports that
+    differ in their totals alone, and PASCH and TWO_PAIRS, whose edge
+    colours are all equal."""
     pool = []
     for h, top in ((PASCH, 12), (TWO_PAIRS, 12), (gen_hyperpath(3, 4), 12),
                    (STAR_AND_EDGE, 9), (CORPUS["rand-3-b"], 9)):
         pool += [(key, support) for key, support in _keyed_supports(h, list(range(3, top + 1)))
-                 if key is not None and len(support) <= 6]
-    assert len(pool) > 100
-    pairs = isomorphic = 0
+                 if len(support) <= 6]
+    assert len(pool) > 200
+    isomorphic = shared = tie_free = 0
     for (key, f), (other, g) in itertools.combinations(pool, 2):
-        if sorted(s for s, _ in f) == sorted(s for s, _ in g):
-            pairs += 1
-            same = weighted_supports_isomorphic(f, g)
-            isomorphic += same
-            assert (key == other) == same, (f, g)
-        else:
+        if sorted(s for s, _ in f) != sorted(s for s, _ in g):
             assert key != other
-    assert pairs > isomorphic > 100
+            continue
+        same = weighted_supports_isomorphic(f, g)
+        isomorphic += same
+        if key == other:
+            shared += 1
+            assert same, (f, g)
+        if _tie_free(key) and _tie_free(other):
+            tie_free += 1
+            assert (key == other) == same, (f, g)
+    assert isomorphic >= shared > 1000
+    assert tie_free > 1000
 
 
 def test_equal_edge_colours_do_not_make_equal_keys():
     """PASCH and TWO_PAIRS at totals 3 are not isomorphic, and their keys
-    differ, though their edges all have the same colour; a relabelling
-    keeps each key.  Ties past the fixed number of orderings, as on
-    K_5^(3), give no key."""
+    differ, though their edges all have the same colour.  A support whose
+    edge colours all differ keeps its key under a relabelling of its
+    vertices and a reordering of its edges."""
     sigma = (3, 3, 3, 3)
     keys = [traces._class_key(traces._EnumerationContext(h).edges, sigma)
             for h in (PASCH, TWO_PAIRS)]
-    assert None not in keys and keys[0] != keys[1]
+    assert keys[0] != keys[1]
     assert keys[0][0] == keys[1][0]  # the colours
     assert not weighted_supports_isomorphic(*(
         [(3, e) for e in h.edges] for h in (PASCH, TWO_PAIRS)))
-    perm = [4, 6, 1, 3, 2, 5]
-    moved = from_edge_list(3, 6, [tuple(perm[v - 1] for v in e) for e in PASCH.edges])
-    assert traces._class_key(traces._EnumerationContext(moved).edges, sigma) == keys[0]
-    k5 = from_edge_list(3, 5, itertools.combinations(range(1, 6), 3))
-    assert traces._class_key(traces._EnumerationContext(k5).edges, (3,) * 10) is None
+    path, sigma = gen_hyperpath(3, 3), (3, 6, 9)
+    key = traces._class_key(traces._EnumerationContext(path).edges, sigma)
+    assert _tie_free(key)
+    perm = [5, 7, 2, 1, 6, 3, 4]
+    total = {tuple(sorted(perm[v - 1] - 1 for v in e)): t for e, t in zip(path.edges, sigma)}
+    moved = from_edge_list(3, 7, [tuple(perm[v - 1] for v in e) for e in path.edges])
+    edges = traces._EnumerationContext(moved).edges
+    assert [total[tuple(sorted(e))] for e in edges] != list(sigma)  # the edges moved
+    assert traces._class_key(edges, tuple(total[tuple(sorted(e))] for e in edges)) == key
 
+
+def test_every_candidate_of_k5_has_a_shared_key():
+    """Every candidate of K_5^(3) at orders 3..9 gets a key, and its
+    candidates fall into far fewer keys than there are of them."""
+    k5 = from_edge_list(3, 5, itertools.combinations(range(1, 6), 3))
+    keyed = _keyed_supports(k5, list(range(3, 10)))
+    keys = {key for key, _ in keyed}
+    assert None not in keys
+    assert len(keys) * 5 < len(keyed)
+
+
+def test_tied_supports_share_their_sums(monkeypatch):
+    """K_6^(3), whose supports tie many edge colours, forms few split sums
+    at orders up to 6."""
+    calls = 0
+    sum_over_tables = traces._sum_over_tables
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return sum_over_tables(*args)
+
+    monkeypatch.setattr(traces, "_sum_over_tables", counted)
+    trace_sequence(from_edge_list(3, 6, itertools.combinations(range(1, 7), 3)), 6)
+    assert 0 < calls <= 60
