@@ -58,17 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
-def _sig(x):
-    """Round a float to 10 significant digits for stable, readable
-    reports; any other value passes through."""
-    return float(f"{x:.10g}") if isinstance(x, float) else x
-
-
-def _fields(obj) -> dict:
-    """A result dataclass as a report dict, floats rounded by _sig."""
-    return {name: _sig(value) for name, value in vars(obj).items()}
-
-
 def _fraction_json(v: Fraction) -> int | str:
     return int(v) if v.denominator == 1 else str(v)
 
@@ -205,7 +194,7 @@ def cmd_ee(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         human.append("warning: error bound above --tol: the budget cut the "
                      "series short, or rounding the value to a float alone "
                      "may exceed --tol; the bound covers both")
-    document = _fields(res)
+    document = vars(res)
     _emit(args, document, [document], human)
     return EXIT_OK
 
@@ -234,13 +223,13 @@ def cmd_spectrum(
     h = _resolve_input(args, parser)
     _check_printable([h.eigenvalue_count()])  # every multiplicity is at most k
     s = spectrum(h, budget=_budget(args))
-    rows = [{"re": _sig(z.real), "im": _sig(z.imag), "multiplicity": mult}
+    rows = [{"re": z.real, "im": z.imag, "multiplicity": mult}
             for z, mult in s.entries]
     human = [f"k = {s.k} eigenvalues ({s.provenance}, residual {s.residual:.3g})"]
     human += [f"  {z.real:+.10g} {z.imag:+.10g}i   x{mult}"
               for z, mult in s.entries]
     document = {"k": s.k, "provenance": s.provenance,
-                "residual": _sig(s.residual), "entries": rows}
+                "residual": s.residual, "entries": rows}
     _emit(args, document, rows, human)
     return EXIT_OK
 
@@ -274,8 +263,8 @@ def cmd_bounds(
         f"upper bound (radius):          {rep.upper_radius:.10g}",
         f"upper bound (radius, adjusted): {rep.upper_radius_adjusted:.10g}",
     ]
-    fields = _fields(rep)
-    rho_fields = _fields(fields.pop("rho_used"))
+    fields = dict(vars(rep))
+    rho_fields = vars(fields.pop("rho_used"))
     _emit(args, {**fields, "rho": rho_fields},
           [{**fields, "rho_lower": rho_fields["lower"],
             "rho_upper": rho_fields["upper"]}], human)
@@ -307,8 +296,8 @@ def cmd_table1(
         abs_dev = abs(res.value - reference)
         rel_dev = abs_dev / abs(reference)
         ok = abs_dev <= tol if tol_kind == "abs" else rel_dev <= tol
-        row.update(method=res.method, computed=_sig(res.value),
-                   abs_dev=_sig(abs_dev), rel_dev=_sig(rel_dev),
+        row.update(method=res.method, computed=res.value,
+                   abs_dev=abs_dev, rel_dev=rel_dev,
                    status="OK" if ok else "FAIL")
     all_ok = all(row["status"] == "OK" for row in rows)
 

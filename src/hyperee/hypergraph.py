@@ -8,6 +8,7 @@ numeric kernels translate to 0-based arrays internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 Edge = tuple[int, ...]
@@ -70,13 +71,37 @@ class VertexDegreeProfile:
         return max(self.degrees, default=0)
 
 
+@lru_cache(maxsize=1)  # the layers of one call share one build
+def _incidence(
+    h: UniformHypergraph,
+) -> tuple[tuple[Edge, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The incidence every layer reads, 0-based and in tuples, since every
+    caller shares it: the edges in h.edges order, each vertex's ascending
+    edge indices, and each vertex's component label, the least vertex of its
+    component.  It is cached for the latest hypergraph only, not on the
+    hypergraph: a caller that keeps many inputs would keep each one's too."""
+    edges = tuple(tuple(v - 1 for v in e) for e in h.edges)
+    incident: list[list[int]] = [[] for _ in range(h.n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            incident[v].append(i)
+    label = [-1] * h.n
+    for root in range(h.n):  # the least vertex not yet labelled starts a component
+        if label[root] < 0:
+            label[root] = root
+            stack = [root]
+            while stack:
+                for i in incident[stack.pop()]:
+                    for v in edges[i]:
+                        if label[v] < 0:
+                            label[v] = root
+                            stack.append(v)
+    return edges, tuple(map(tuple, incident)), tuple(label)
+
+
 def degrees(h: UniformHypergraph) -> VertexDegreeProfile:
     """Number of edges containing each vertex.  Sums to m * |edges|."""
-    counts = [0] * h.n
-    for e in h.edges:
-        for v in e:
-            counts[v - 1] += 1
-    return VertexDegreeProfile(tuple(counts))
+    return VertexDegreeProfile(tuple(len(es) for es in _incidence(h)[1]))
 
 
 def parse_hypergraph(text: str) -> UniformHypergraph:
@@ -185,23 +210,12 @@ def gen_hyperpath(m: int, p: int) -> UniformHypergraph:
 
 
 def connected_components(h: UniformHypergraph) -> list[tuple[int, ...]]:
-    """Vertex sets of connected components, isolated vertices included."""
-    parent = list(range(h.n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in h.edges:
-        r = find(e[0])
-        for v in e[1:]:
-            parent[find(v)] = r
+    """Vertex sets of connected components, isolated vertices included,
+    each ascending and ordered by their least vertices."""
     groups: dict[int, list[int]] = {}
-    for v in range(1, h.n + 1):
-        groups.setdefault(find(v), []).append(v)
-    return [tuple(sorted(g)) for g in sorted(groups.values())]
+    for v, root in enumerate(_incidence(h)[2], start=1):
+        groups.setdefault(root, []).append(v)
+    return [tuple(g) for g in groups.values()]
 
 
 def detect_hyperstar(h: UniformHypergraph) -> int | None:

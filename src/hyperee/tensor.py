@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import UniformHypergraph, connected_components, degrees
+from .hypergraph import UniformHypergraph, _incidence, connected_components, degrees
 
 
 # target relative width of the power iteration's float ratios, and the
@@ -45,7 +45,7 @@ def apply(h: UniformHypergraph, x: Sequence[float]) -> np.ndarray:
     vec = np.asarray(x, dtype=float)
     if vec.shape != (h.n,):
         raise ValueError(f"expected a vector of length {h.n}, got shape {vec.shape}")
-    return _add_edge_products([[v - 1 for v in e] for e in h.edges], vec, np.zeros(h.n))
+    return _add_edge_products([list(e) for e in _incidence(h)[0]], vec, np.zeros(h.n))
 
 
 def _add_edge_products(
@@ -87,16 +87,22 @@ def spectral_radius(h: UniformHypergraph) -> SpectralRadiusEstimate:
     underflows to 0.  For any positive x, min_i and max_i of
     (A x^{m-1})_i / x_i^{m-1} enclose rho (Yang & Yang, SIAM J. Matrix
     Anal. Appl. 31 (2010)); the enclosure is those ratios of the last
-    iterate with x^{m-1} positive, exact and rounded outward.
+    iterate with x^{m-1} positive, exact and rounded outward.  One pass
+    over the incidence groups the edges by the component label of their
+    first vertex, each vertex indexed by its place in its component.
     """
+    edges, _, label = _incidence(h)
+    place, size = [0] * h.n, dict.fromkeys(label, 0)  # per vertex, and per component label
+    for v, root in enumerate(label):
+        place[v], size[root] = size[root], size[root] + 1
+    groups: dict[int, list[list[int]]] = {}
+    for e in edges:
+        groups.setdefault(label[e[0]], []).append([place[v] for v in e])
     lower = upper = 0.0
     iters = 0
-    for comp in connected_components(h):
-        local = {v: i for i, v in enumerate(comp)}
-        edges_idx = [[local[v] for v in e] for e in h.edges if e[0] in local]
-        if edges_idx:  # an isolated vertex contributes rho = 0
-            lo, hi, it = _component_enclosure(h.m - 1, edges_idx, len(comp))
-            lower, upper, iters = max(lower, lo), max(upper, hi), iters + it
+    for root, edges_idx in groups.items():  # an isolated vertex has none: rho = 0
+        lo, hi, it = _component_enclosure(h.m - 1, edges_idx, size[root])
+        lower, upper, iters = max(lower, lo), max(upper, hi), iters + it
     return SpectralRadiusEstimate(lower, upper, iters, "power-iteration")
 
 

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hypergraph import UniformHypergraph
+from .hypergraph import UniformHypergraph, _incidence
 
 
 class FeasibilityError(RuntimeError):
@@ -131,8 +131,7 @@ def _trace_range(h: UniformHypergraph, lo: int, hi: int,
             raise _infeasible(n, m, end, budget)
         shares = {d: (diagonal, 1) for d, diagonal in zip(orders, _graph_trace(h, orders, step))}
     elif orders and h.edges:
-        ctx = _EnumerationContext(h)
-        shares = {d: _accumulate(ctx, c) for d, c in _sigma_range(ctx, orders, budget).items()}
+        shares = {d: _accumulate(h, c) for d, c in _sigma_range(h, orders, budget).items()}
     start = [(m - 1) ** (n - 1)] * n, 1
     return [start if d == 0 else shares.get(d, ([0] * n, 1)) for d in range(lo, hi + 1)]
 
@@ -147,11 +146,11 @@ def _graph_trace(h: UniformHypergraph, orders: list[int], step: int) -> Iterator
     squaring.  0 <= (A^d)_vv <= rho^d <= B^(d/2), B the largest d_u d_v over
     the edges uv (Berman and Zhang, J. Combin. Theory Ser. B 83 (2001))."""
     n = h.n
+    edges, incident, _ = _incidence(h)
     adj = np.zeros((n, n))
-    for u, v in h.edges:
-        adj[u - 1, v - 1] = adj[v - 1, u - 1] = 1.0
-    deg = [int(x) for x in adj.sum(axis=0)]
-    b = max((deg[u - 1] * deg[v - 1] for u, v in h.edges), default=0)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1.0
+    b = max((len(incident[u]) * len(incident[v]) for u, v in edges), default=0)
     stride = np.linalg.matrix_power(adj, step)  # exact: entries below n
     p = math.isqrt(2**53 // n)
     powers: list[tuple[int, int, np.ndarray]] = []  # (p, d, A^d mod p)
@@ -233,23 +232,21 @@ def _rotation_labelling(h: UniformHypergraph) -> tuple[int, ...] | None:
     labelling is checked edge by edge before it is returned.
     """
     m = h.m
-    incident: list[list[tuple[int, ...]]] = [[] for _ in range(h.n + 1)]
-    for e in h.edges:
-        for v in e:
-            incident[v].append(e)
-    labels = [0] * (h.n + 1)
+    edges, incident, _ = _incidence(h)
+    labels = [0] * h.n
     forms: dict[int, dict[int, int]] = {}  # {parameter: coefficient}, constant at -1
-    seen: set[tuple[int, ...]] = set()
-    for root in range(1, h.n + 1):
+    seen: set[int] = set()  # edge indices
+    for root in range(h.n):
         if root in forms:
             continue
         component, params, equations = [], 0, []
         queue = deque([root])
         while queue:
-            for e in incident[queue.popleft()]:
-                if e in seen:
+            for i in incident[queue.popleft()]:
+                if i in seen:
                     continue
-                seen.add(e)
+                seen.add(i)
+                e = edges[i]
                 free = [v for v in e if v not in forms]
                 if not free:
                     equations.append(e)
@@ -280,8 +277,8 @@ def _rotation_labelling(h: UniformHypergraph) -> tuple[int, ...] | None:
         for v in component:
             form = forms[v]
             labels[v] = sum(c * int(values[key]) if key >= 0 else c for key, c in form.items()) % m
-    labelling = tuple(labels[1:])
-    if any(sum(labelling[v - 1] for v in e) % m != 1 for e in h.edges):
+    labelling = tuple(labels)
+    if any(sum(labelling[v] for v in e) % m != 1 for e in edges):
         return None  # correctness rests on this check, not on the solver
     return labelling
 
@@ -369,27 +366,8 @@ def vertex_trace_terms(
     return tuple(Fraction(s, denominator) for s in shares)
 
 
-class _EnumerationContext:
-    """Edge/vertex incidence tables shared by the enumeration passes."""
-
-    def __init__(self, h: UniformHypergraph):
-        self.m = h.m
-        self.n = h.n
-        self.edges = [tuple(v - 1 for v in e) for e in h.edges]
-        # per edge, the vertices it is the last edge of: there their pick
-        # totals are final and divisibility can be checked
-        self.finalize_at: list[list[int]] = [[] for _ in self.edges]
-        last = {v: i for i, e in enumerate(self.edges) for v in e}
-        for v in sorted(last):
-            self.finalize_at[last[v]].append(v)
-        # per edge, its vertices as a bit mask and the last edge that holds
-        # one of them
-        self.masks = [sum(1 << v for v in e) for e in self.edges]
-        self.reach = [max(last[v] for v in e) for e in self.edges]
-
-
 def _sigma_range(
-    ctx: _EnumerationContext, orders: list[int], budget: Budget
+    h: UniformHypergraph, orders: list[int], budget: Budget
 ) -> dict[int, list[tuple[int, ...]]]:
     """The sigma candidates of the ascending orders, by order, from one
     depth-first pass over orders[0]..orders[-1]: per-edge pick totals sigma
@@ -412,11 +390,19 @@ def _sigma_range(
     when its active edges form two or more components one of which no
     later edge touches: no completion of it is connected.  Neither drops a
     candidate, so the candidates, their order and the refusals are as
-    without them."""
-    m, edges, finalize_at, masks, reach = ctx.m, ctx.edges, ctx.finalize_at, ctx.masks, ctx.reach
+    without them.  The search's tables come from the vertex-to-edge
+    lists of h's incidence (_incidence)."""
+    m, n = h.m, h.n
+    edges, incident, _ = _incidence(h)
+    # per edge, the vertices it is the last edge of, whose pick totals are
+    # final there and divisibility can be checked; its vertices as a bit
+    # mask; and the last edge that holds one of them
+    finalize_at = [[v for v in e if incident[v][-1] == i] for i, e in enumerate(edges)]
+    masks = [sum(1 << v for v in e) for e in edges]
+    reach = [max(incident[v][-1] for v in e) for e in edges]
     last, lo = len(edges) - 1, orders[0]
-    end = _closed_form_cut(m, ctx.n, len(edges), orders, budget)
-    vertex_total = [0] * ctx.n
+    end = _closed_form_cut(m, n, len(edges), orders, budget)
+    vertex_total = [0] * n
     owed = 0  # what the vertex totals lack to the next multiples of m, summed
     sigma = [0] * len(edges)
     found: dict[int, list[tuple[int, ...]]] = {}
@@ -483,7 +469,7 @@ def _sigma_range(
         i, total = i + 1, total + s
 
     if end <= orders[-1]:  # the cut, or an order with candidates: one of orders
-        raise _infeasible(ctx.n, m, end, budget)
+        raise _infeasible(n, m, end, budget)
     return found
 
 
@@ -511,7 +497,7 @@ def _join(
 
 
 def _accumulate(
-    ctx: _EnumerationContext,
+    h: UniformHypergraph,
     candidates: list[tuple[int, ...]],
 ) -> tuple[list[int], int]:
     """Sum the per-vertex contributions of every pick configuration.
@@ -541,9 +527,11 @@ def _accumulate(
     digraph has as many arborescences towards each of its vertices.  So
     it is formed once per key of the support (_class_key) in this call
     and reused for the other candidates with that key.  Nothing is kept
-    from one call to the next.
+    from one call to the next.  The 0-based edges are read from h's
+    incidence (_incidence) once per call and passed to _sum_over_tables.
     """
-    m, n, edges = ctx.m, ctx.n, ctx.edges
+    m, n = h.m, h.n
+    edges = _incidence(h)[0]
     weights: dict[tuple, tuple[int, int]] = {}  # class key -> (numerator, denominator)
     parts: list[tuple[int, int, list[int]]] = []  # (numerator, denominator, s)
     for sigma in candidates:
@@ -557,7 +545,7 @@ def _accumulate(
         key = _class_key(edges, sigma)
         weight = weights.get(key)
         if weight is None:
-            num, den = _sum_over_tables(ctx, sigma, s), 1
+            num, den = _sum_over_tables(m, edges, sigma, s), 1
             for se in sigma:
                 den *= math.factorial(se)
             for sv in s:
@@ -576,7 +564,7 @@ def _accumulate(
     return acc, common
 
 
-def _class_key(edges: list[tuple[int, ...]], sigma: tuple[int, ...]) -> tuple:
+def _class_key(edges: Sequence[tuple[int, ...]], sigma: tuple[int, ...]) -> tuple:
     """An exact key of the weighted support of sigma.
 
     Each active edge is coloured by its total and the sorted degrees of its
@@ -599,7 +587,7 @@ def _class_key(edges: list[tuple[int, ...]], sigma: tuple[int, ...]) -> tuple:
             _membership(edges, degree, (i for _, i in coloured)))
 
 
-def _membership(edges: list[tuple[int, ...]], vertices, order) -> tuple[int, ...]:
+def _membership(edges: Sequence[tuple[int, ...]], vertices, order) -> tuple[int, ...]:
     """The sorted membership masks of the vertices: bit j of a vertex's mask
     is set when it lies in the j-th edge of order."""
     mask = dict.fromkeys(vertices, 0)
@@ -610,7 +598,8 @@ def _membership(edges: list[tuple[int, ...]], vertices, order) -> tuple[int, ...
 
 
 def _sum_over_tables(
-    ctx: _EnumerationContext,
+    m: int,
+    edges: Sequence[tuple[int, ...]],
     sigma: tuple[int, ...],
     s: list[int],
 ) -> int:
@@ -640,7 +629,6 @@ def _sum_over_tables(
     on backtrack.  No later edge can supply the last edge's pickers, so
     each of them takes what it still needs there.
     """
-    m, edges = ctx.m, ctx.edges
     active = [i for i, se in enumerate(sigma) if se]
     degree: dict[int, int] = {}
     for i in active:
@@ -660,7 +648,7 @@ def _sum_over_tables(
     # this one, its reduced Laplacian row, and the entries each of its
     # picks moves with their coefficients (none for the root)
     steps: list[tuple[int, list[tuple[int, int, list[int], list[tuple[int, int]]]]]] = []
-    running = [0] * ctx.n
+    running = [0] * len(s)
     for i, ws in reversed(list(zip(active, leaves))):
         k, left = len(ws), sigma[i] - sum(s[w] for w in ws)
         if left < 0:

@@ -9,6 +9,7 @@ closed forms, the m-symmetry labelling through a search of every
 labelling, determinants through elimination over the rationals, the
 split sums of pick totals through the whole Laplacian of every split,
 the pick totals themselves through a search of every vector,
+connected components through union-find over the edges,
 and isomorphism of weighted supports through every bijection of their
 edges, so a bug in the trace engine, its class keys, the root pipeline,
 the orbit formula, the star test or the labelling solver cannot hide in
@@ -28,6 +29,28 @@ import numpy as np
 
 from hyperee.estrada import _series_tails
 from hyperee.hypergraph import UniformHypergraph
+
+
+def union_find_components(h: UniformHypergraph) -> list[tuple[int, ...]]:
+    """Vertex sets of the connected components, isolated vertices included,
+    each ascending and ordered by their least vertices: union-find with
+    path halving, every edge's vertices joined to its first."""
+    parent = list(range(h.n + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for e in h.edges:
+        r = find(e[0])
+        for v in e[1:]:
+            parent[find(v)] = r
+    groups: dict[int, list[int]] = {}
+    for v in range(1, h.n + 1):
+        groups.setdefault(find(v), []).append(v)
+    return [tuple(sorted(g)) for g in sorted(groups.values())]
 
 
 def adjacency_matrix(h: UniformHypergraph) -> np.ndarray:

@@ -63,6 +63,19 @@ def test_ee_csv_round_trips(capsys):
     assert float(rows[0]["value"]) == pytest.approx(want, rel=1e-9)
 
 
+def test_json_and_csv_carry_the_value_at_full_precision(capsys):
+    """The reports print the computed float itself: at --tol 1e-12 the
+    series' error bound is about 2.4e-14, so a value rounded to fewer
+    digits would lie outside its own bound."""
+    argv = ("ee", "--path", "3", "3", "--method", "series", "--tol", "1e-12")
+    want = hyperee.estrada_index(hyperee.gen_hyperpath(3, 3), "series", tol=1e-12)
+    assert want.error_bound < 1e-13
+    _, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+    _, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert json.loads(out_json)["value"] == want.value
+    assert float(next(csv.DictReader(io.StringIO(out_csv)))["value"]) == want.value
+
+
 def test_ee_empty_input(capsys):
     code, out, _ = run_cli(capsys, "ee", "--empty", "3", "3", "--format", "json")
     assert code == EXIT_OK

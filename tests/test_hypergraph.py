@@ -6,14 +6,15 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import is_hyperstar
+from _oracles import is_hyperstar, union_find_components
 from hyperee.hypergraph import (
     HypergraphFormatError,
     UniformHypergraph,
     VertexDegreeProfile,
+    _incidence,
     connected_components,
     degrees,
     detect_hyperstar,
@@ -24,6 +25,7 @@ from hyperee.hypergraph import (
     parse_hypergraph,
     serialize_hypergraph,
 )
+from hyperee.tensor import spectral_radius
 
 # Construction and canonicalization
 
@@ -266,3 +268,68 @@ def test_detect_hyperstar_matches_its_definition(h):
     """The degree-sequence test agrees with a check of the definition
     edge pair by edge pair, and a star's q is its edge count."""
     assert detect_hyperstar(h) == (h.q if is_hyperstar(h) else None)
+
+
+def _scatter(h: UniformHypergraph, copies: int, order) -> UniformHypergraph:
+    """Disjoint copies of h on copies * n vertices, spread in the order
+    given: order lists, for each new vertex, the copy it belongs to, and
+    each copy takes its vertices in ascending order, so every copy keeps
+    the order of its vertices and edges."""
+    vertex: list[list[int]] = [[] for _ in range(copies)]
+    for new, copy in enumerate(order, start=1):
+        vertex[copy].append(new)
+    return from_edge_list(h.m, copies * h.n, [[vertex[c][v - 1] for v in e]
+                                              for c in range(copies) for e in h.edges])
+
+
+@st.composite
+def scattered(draw) -> tuple[UniformHypergraph, int, UniformHypergraph]:
+    """(h, c, the union of c copies of h): h is m-uniform, m in {2, 3, 4},
+    on at most 12 vertices, with random edges on one to three disjoint
+    blocks and the rest of its vertices isolated, under a random
+    relabelling; the copies of the union are interleaved."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(m, 12))
+    edges, start = [], 1
+    for size in draw(st.lists(st.integers(m, 6), min_size=1, max_size=3)):
+        block = range(start, min(start + size, n + 1))
+        start += size
+        pool = list(itertools.combinations(block, m))
+        if pool:
+            edges += draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5,
+                                   unique=True))
+    label = draw(st.permutations(range(1, n + 1)))
+    h = from_edge_list(m, n, [[label[v - 1] for v in e] for e in edges])
+    c = draw(st.integers(2, 3))
+    order = draw(st.permutations([copy for copy in range(c) for _ in range(n)]))
+    return h, c, _scatter(h, c, order)
+
+
+# two components of three edges each, and an isolated vertex
+TWO_BLOCKS = from_edge_list(3, 13, [(1, 5, 9), (5, 7, 11), (7, 9, 12),
+                                    (2, 3, 4), (3, 6, 8), (3, 4, 10)])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(scattered())
+@example((TWO_BLOCKS, 3, _scatter(TWO_BLOCKS, 3, [2, 0, 1] * 13)))
+def test_incidence_matches_its_definition(case):
+    """The degrees and components read from the incidence are the edge
+    counts and the union-find components; vertex v lists edge i exactly
+    when v lies in edge i; and the radius of interleaved disjoint copies
+    of h is h's own enclosure, bit for bit, after c times its
+    iterations.  Labels are the least vertices of the components."""
+    h, c, union = case
+    for g in (h, union):
+        edges, incident, label = _incidence(g)
+        assert edges == tuple(tuple(v - 1 for v in e) for e in g.edges)
+        assert incident == tuple(tuple(i for i, e in enumerate(edges) if v in e)
+                                 for v in range(g.n))
+        assert degrees(g).degrees == tuple(sum(v in e for e in g.edges)
+                                           for v in range(1, g.n + 1))
+        components = union_find_components(g)
+        assert connected_components(g) == components
+        assert all(label[v - 1] == comp[0] - 1 for comp in components for v in comp)
+    alone, together = spectral_radius(h), spectral_radius(union)
+    assert (together.lower, together.upper) == (alone.lower, alone.upper)
+    assert together.iterations == c * alone.iterations

@@ -19,7 +19,13 @@ from _oracles import (
     sigma_candidates,
 )
 from hyperee import traces
-from hyperee.hypergraph import UniformHypergraph, from_edge_list, gen_hyperpath, gen_hyperstar
+from hyperee.hypergraph import (
+    UniformHypergraph,
+    _incidence,
+    from_edge_list,
+    gen_hyperpath,
+    gen_hyperstar,
+)
 from hyperee.traces import (
     Budget,
     FeasibilityError,
@@ -162,7 +168,7 @@ def test_range_candidates_match_brute_force(h, lo):
         active = [e for s, e in zip(sigma, h.edges) if s]
         if lo <= sum(sigma) <= 9 and all(t % h.m == 0 for t in totals) and connected(active):
             want.setdefault(sum(sigma), []).append(sigma)
-    found = traces._sigma_range(traces._EnumerationContext(h), list(range(lo, 10)), Budget())
+    found = traces._sigma_range(h, list(range(lo, 10)), Budget())
     assert {d: sorted(c) for d, c in found.items()} == want
 
 
@@ -190,28 +196,27 @@ def test_search_finds_what_every_vector_finds(h, lo, width, exponent):
     order with the same message."""
     assume(h.edges)
     hi, budget = lo + width, Budget(max_selections=10**exponent)
-    ctx = traces._EnumerationContext(h)
-    want = sigma_candidates(h.m, h.n, ctx.edges, lo, hi, budget.max_selections)
+    want = sigma_candidates(h.m, h.n, _incidence(h)[0], lo, hi, budget.max_selections)
     if isinstance(want, int):
         with pytest.raises(FeasibilityError) as refusal:
-            traces._sigma_range(ctx, list(range(lo, hi + 1)), budget)
+            traces._sigma_range(h, list(range(lo, hi + 1)), budget)
         assert str(refusal.value) == str(traces._infeasible(h.n, h.m, want, budget))
     else:
-        assert traces._sigma_range(ctx, list(range(lo, hi + 1)), budget) == want
+        assert traces._sigma_range(h, list(range(lo, hi + 1)), budget) == want
 
 
 def _supports(h: UniformHypergraph, d: int):
-    """(context, sigma, per-vertex picks s) of every sigma candidate of
-    order d; none without edges."""
+    """(0-based edges, sigma, per-vertex picks s) of every sigma candidate
+    of order d; none without edges."""
     if not h.edges:
         return
-    ctx = traces._EnumerationContext(h)
-    for sigma in traces._sigma_range(ctx, [d], Budget()).get(d, []):
+    edges = _incidence(h)[0]
+    for sigma in traces._sigma_range(h, [d], Budget()).get(d, []):
         totals = [0] * h.n
-        for se, e in zip(sigma, ctx.edges):
+        for se, e in zip(sigma, edges):
             for v in e:
                 totals[v] += se
-        yield ctx, sigma, [t // h.m for t in totals]
+        yield edges, sigma, [t // h.m for t in totals]
 
 
 # every vertex of the Pasch configuration lies in two edges: no leaf, and a
@@ -243,9 +248,9 @@ def test_core_reduction_matches_the_full_laplacian(h, d):
     """The split sum on the core of each support, its leaves eliminated
     in closed form, equals the sum over every split of the whole
     Laplacian's determinant."""
-    for ctx, sigma, s in _supports(h, d):
-        assert traces._sum_over_tables(ctx, sigma, s) == full_laplacian_table_sum(
-            h.m, h.n, ctx.edges, sigma, s), sigma
+    for edges, sigma, s in _supports(h, d):
+        assert traces._sum_over_tables(h.m, edges, sigma, s) == full_laplacian_table_sum(
+            h.m, h.n, edges, sigma, s), sigma
 
 
 def _proved_zero(h: UniformHypergraph, d: int) -> bool:
@@ -260,7 +265,7 @@ def _own_work(h: UniformHypergraph, d: int) -> int:
     larger (each is held against the budget on its own)."""
     if not h.edges:
         return 0
-    found = traces._sigma_range(traces._EnumerationContext(h), [d], Budget())
+    found = traces._sigma_range(h, [d], Budget())
     tables = sum(traces._predicted_tables(sigma, h.m) for sigma in found.get(d, []))
     return max(math.comb(d + len(h.edges) - 1, len(h.edges) - 1), tables)
 

@@ -23,7 +23,7 @@ from _oracles import (
 from conftest import CORPUS
 from hyperee import traces
 from hyperee.estrada import estrada_index, order_m_trace
-from hyperee.hypergraph import from_edge_list, gen_empty, gen_hyperpath, gen_hyperstar
+from hyperee.hypergraph import _incidence, from_edge_list, gen_empty, gen_hyperpath, gen_hyperstar
 from hyperee.traces import (
     Budget,
     FeasibilityError,
@@ -296,8 +296,8 @@ def test_search_on_a_long_path_keeps_every_candidate():
     totals 3a_e, a_e >= 1 and sum a_e <= 6: (21 - L) positions times
     C(6, L) totals.  The search drops the partial vectors whose active
     edges can no longer connect, and keeps all 1,131 of these."""
-    ctx = traces._EnumerationContext(gen_hyperpath(3, 20))
-    found = traces._sigma_range(ctx, list(range(3, 19)), Budget(max_selections=10**12))
+    found = traces._sigma_range(gen_hyperpath(3, 20), list(range(3, 19)),
+                                Budget(max_selections=10**12))
     assert sum(map(len, found.values())) == sum(
         (21 - run) * math.comb(6, run) for run in range(1, 7)) == 1131
 
@@ -393,9 +393,8 @@ def _engine_trace(h, d, budget=None):
     Eulerian engine, which never consults the labelling (graphs included)."""
     if d == 0 or not h.edges:
         return Fraction(h.eigenvalue_count() if d == 0 else 0)
-    ctx = traces._EnumerationContext(h)
-    found = traces._sigma_range(ctx, [d], budget or Budget())
-    shares, denominator = traces._accumulate(ctx, found.get(d, []))
+    found = traces._sigma_range(h, [d], budget or Budget())
+    shares, denominator = traces._accumulate(h, found.get(d, []))
     return Fraction(sum(shares), denominator)
 
 
@@ -512,10 +511,10 @@ STAR_AND_EDGE = from_edge_list(3, 7, [*gen_hyperstar(3, 3).edges, (2, 4, 6)])
 def _keyed_supports(h, orders):
     """(class key, weighted support) of every sigma candidate of h at the
     orders; a support is a list of (total, edge) pairs."""
-    ctx = traces._EnumerationContext(h)
+    edges = _incidence(h)[0]
     return [
-        (traces._class_key(ctx.edges, sigma), [(s, e) for s, e in zip(sigma, ctx.edges) if s])
-        for found in traces._sigma_range(ctx, orders, Budget()).values()
+        (traces._class_key(edges, sigma), [(s, e) for s, e in zip(sigma, edges) if s])
+        for found in traces._sigma_range(h, orders, Budget()).values()
         for sigma in found
     ]
 
@@ -561,19 +560,19 @@ def test_equal_edge_colours_do_not_make_equal_keys():
     edge colours all differ keeps its key under a relabelling of its
     vertices and a reordering of its edges."""
     sigma = (3, 3, 3, 3)
-    keys = [traces._class_key(traces._EnumerationContext(h).edges, sigma)
+    keys = [traces._class_key(_incidence(h)[0], sigma)
             for h in (PASCH, TWO_PAIRS)]
     assert keys[0] != keys[1]
     assert keys[0][0] == keys[1][0]  # the colours
     assert not weighted_supports_isomorphic(*(
         [(3, e) for e in h.edges] for h in (PASCH, TWO_PAIRS)))
     path, sigma = gen_hyperpath(3, 3), (3, 6, 9)
-    key = traces._class_key(traces._EnumerationContext(path).edges, sigma)
+    key = traces._class_key(_incidence(path)[0], sigma)
     assert _tie_free(key)
     perm = [5, 7, 2, 1, 6, 3, 4]
     total = {tuple(sorted(perm[v - 1] - 1 for v in e)): t for e, t in zip(path.edges, sigma)}
     moved = from_edge_list(3, 7, [tuple(perm[v - 1] for v in e) for e in path.edges])
-    edges = traces._EnumerationContext(moved).edges
+    edges = _incidence(moved)[0]
     assert [total[tuple(sorted(e))] for e in edges] != list(sigma)  # the edges moved
     assert traces._class_key(edges, tuple(total[tuple(sorted(e))] for e in edges)) == key
 
