@@ -2,9 +2,9 @@
 
 The adjacency tensor of an m-uniform hypergraph on n vertices has
 k = n*(m-1)^(n-1) eigenvalues; the Estrada index is the sum of their
-exponentials.  This package computes it four ways (explicit spectra via
-Newton's identities, certified trace series, rotation-symmetric orbit
-formulas, and hyperstar closed forms), provides exact high-order traces,
+exponentials.  This package computes it four ways (explicit spectra, by
+eigh for graphs and Newton's identities otherwise, certified trace series,
+rotation-symmetric orbit formulas, and hyperstar closed forms), exact traces,
 spectral-radius enclosures, and a family of spectral bounds, plus a CLI
 (`hyperee`) wrapping all of it.
 """

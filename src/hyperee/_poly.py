@@ -17,10 +17,8 @@ import numpy as np
 IPoly = list[int]
 
 
-# Aberth iteration: converged at relative step ABERTH_TOL; a stalled
-# iteration is accepted when its best step stayed below ABERTH_STALL_TOL.
+# Aberth iteration: converged at relative step ABERTH_TOL
 ABERTH_TOL = 1e-13
-ABERTH_STALL_TOL = 1e-8
 ABERTH_MAX_ITER = 600
 
 
@@ -131,10 +129,8 @@ def aberth_roots(monic_ascending: list[float]) -> np.ndarray:
     """All roots of a monic real polynomial by Aberth-Ehrlich iteration.
 
     Meant for square-free inputs (simple roots).  Stops at ABERTH_TOL
-    relative step size; if the iteration stalls at the double-precision
-    floor of an ill-conditioned input, the best iterate is accepted as long
-    as its step stayed below ABERTH_STALL_TOL.  Raises ConvergenceError
-    otherwise.
+    relative step size; raises ConvergenceError when ABERTH_MAX_ITER steps
+    do not reach it.
     """
     deg = len(monic_ascending) - 1
     if deg <= 0:
@@ -151,9 +147,6 @@ def aberth_roots(monic_ascending: list[float]) -> np.ndarray:
         radius = 1.0
     angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
     z = radius * np.exp(1j * angles)
-    best_rel = math.inf
-    best_z = z
-    stalled = 0
     for _ in range(ABERTH_MAX_ITER):
         pv = np.polyval(coeffs_desc, z)
         dv = np.polyval(dcoeffs_desc, z)
@@ -169,15 +162,6 @@ def aberth_roots(monic_ascending: list[float]) -> np.ndarray:
         rel = float(np.max(np.abs(step))) / (1.0 + float(np.max(np.abs(z))))
         if rel <= ABERTH_TOL:
             return z
-        if rel < 0.5 * best_rel:
-            best_rel, best_z, stalled = rel, z.copy(), 0
-        else:
-            stalled += 1
-            if stalled >= 80:
-                break
-    if best_rel <= ABERTH_STALL_TOL:
-        return best_z
-    residual = float(np.max(np.abs(np.polyval(coeffs_desc, best_z))))
+    residual = float(np.max(np.abs(np.polyval(coeffs_desc, z))))
     raise ConvergenceError(
-        f"root iteration did not converge: degree {deg}, residual {residual:.3e}"
-    )
+        f"root iteration did not converge: degree {deg}, residual {residual:.3e}")

@@ -4,7 +4,7 @@ EE = sum of e^lambda over all k = n*(m-1)^(n-1) adjacency-tensor
 eigenvalues.  Each method carries its own error story:
 
 * spectrum-sum: exponentiate an explicit eigenvalue multiset; the
-  spectrum's root residual propagates into the error bound.
+  spectrum's residual and the sum's rounding make up the error bound.
 * trace-series: partial sums of sum_d Tr_d / d! in exact rational
   arithmetic, truncated once a certified tail bound drops below the
   target tolerance (|Tr_d| <= k * rho^d bounds the tail by k times a
@@ -35,7 +35,9 @@ from .hypergraph import UniformHypergraph, detect_hyperstar
 from .spectrum import (
     Rep,
     Spectrum,
+    _gamma,
     _hyperstar_orbits,
+    _up,
     spectrum,
     symmetric_representatives,
 )
@@ -59,10 +61,10 @@ IMAG_DISCARD_LIMIT = 1e-8
 class EstradaResult:
     """One computed Estrada index value.
 
-    error_bound is certified for trace-series (a true tail bound),
-    residual-propagated for spectrum-sum and for symmetric-formula on a
-    numeric spectrum, and 0 for the closed forms (exact up to float
-    rounding).  imag_discard records the magnitude of the imaginary mass
+    error_bound is certified for trace-series (a true tail bound) and the
+    closed forms (their rounding).  Spectrum-sum, and symmetric-formula on
+    a numeric spectrum, add the spectrum's residual, a proof for "eigh" and
+    an estimate for Newton.  imag_discard records the imaginary mass
     dropped when realizing the value.  converged is False only for a
     trace series whose error_bound, which honestly covers the missing
     tail and the float rounding, exceeds its target: the budget or the cap
@@ -105,28 +107,28 @@ def _safe_exp(x: float) -> float:
 
 
 def ee_from_spectrum(s: Spectrum) -> EstradaResult:
-    """EE as the direct sum of exponentials over the eigenvalue multiset."""
+    """EE as the direct sum of exponentials over the eigenvalue multiset;
+    of N terms mult * e^x cos y, each is within gamma_7 (exp and cos within
+    one ulp), and their sum adds gamma_{N-1} to the rounding."""
     total = 0j
     for z, mult in s.entries:
         total += mult * cmath.exp(z)
     value = total.real
     discard = abs(total.imag)
     if discard > IMAG_DISCARD_LIMIT * max(1.0, abs(value)):
-        raise ValueError(
-            f"eigenvalue multiset is not conjugate-closed: discarding "
-            f"imaginary mass {discard:.3e} against value {value:.6g}"
-        )
-    return EstradaResult(
-        value=value,
-        method="spectrum-sum",
-        error_bound=_spectrum_error(s),
-        imag_discard=discard,
-    )
+        raise ValueError(f"eigenvalue multiset is not conjugate-closed: discarding "
+                         f"imaginary mass {discard:.3e} against value {value:.6g}")
+    return EstradaResult(value, "spectrum-sum", _spectrum_error(s, len(s.entries) + 8),
+                         imag_discard=discard)
 
 
-def _spectrum_error(s: Spectrum) -> float:
-    """k * e^rho times the spectrum's root residual; 0 in closed form."""
-    return s.k * _safe_exp(s.rho) * s.residual
+def _spectrum_error(s: Spectrum, ops: int) -> float:
+    """W (expm1(residual) + gamma_ops), W the sum of mult e^(Re z): as
+    |e^w - e^z| <= e^(Re z) expm1(|w - z|), the eigenvalues' error, plus ops
+    roundings per term.  Widening by gamma_{2N+8} covers W's and expm1's."""
+    weight = sum(mult * _safe_exp(z.real) for z, mult in s.entries)
+    part = _up(weight * _up(math.expm1(s.residual) + _gamma(ops)))
+    return _up(part + _up(part * _gamma(2 * len(s.entries) + 8)))
 
 
 def ee_trace_series(
@@ -228,8 +230,8 @@ def _series_tails(k: int, rho: float) -> Iterator[float]:
         yield tail
 
 
-def _up(x: float) -> float:
-    return math.nextafter(x, math.inf)
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
 
 
 def _orbit_sum(alpha: float, beta: float, m: int) -> float:
@@ -244,18 +246,17 @@ def _orbit_sum(alpha: float, beta: float, m: int) -> float:
     return total
 
 
-def ee_symmetric(
-    nonzero_reps: list[Rep],
-    n0: int,
-    m: int,
-    k: int | None = None,
-) -> EstradaResult:
+def ee_symmetric(nonzero_reps: list[Rep], n0: int, m: int, k: int | None = None) -> EstradaResult:
     """EE of an m-fold rotation-symmetric spectrum from orbit data.
 
     nonzero_reps lists one (alpha, beta, multiplicity) per rotation
     orbit; the value returned covers all m members of each orbit plus n0
     zeros.  With k supplied, n0 + m * (total multiplicity) == k is
     enforced.
+    error_bound is the rounding: W (nu gamma_{R+70} + gamma_{m+2R+16}) for
+    R reps, nu the largest |alpha| + |beta| and W = n0 + sum mult m e^nu.
+    A rep within 9 nu ulps, as r^(1/m) is, and cos, sin of 2 pi r/m within
+    21, put each exp-cos term within 64 nu + 5 ulps of e^nu.
     """
     if m < 2:
         raise ValueError("uniformity must be at least 2")
@@ -267,11 +268,16 @@ def ee_symmetric(
             raise ValueError(
                 f"representatives cover {covered} eigenvalues, expected {k}"
             )
-    value = float(n0)
+    value = weight = float(n0)
+    nu = 0.0
     for alpha, beta, mult in nonzero_reps:
         value += mult * _orbit_sum(alpha, beta, m)
+        nu = max(nu, abs(alpha) + abs(beta))
+        weight += mult * m * _safe_exp(abs(alpha) + abs(beta))
+    r = len(nonzero_reps)
+    bound = _up(weight * _up(_up(nu * _gamma(r + 70)) + _gamma(m + 2 * r + 16)))
     return EstradaResult(value=_checked_float(value, "the Estrada index lies"),
-                         method="symmetric-formula", error_bound=0.0)
+                         method="symmetric-formula", error_bound=bound)
 
 
 def ee_hyperstar(m: int, q: int) -> EstradaResult:
@@ -299,7 +305,7 @@ def order_m_trace(h: UniformHypergraph) -> Fraction:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Estrada-index bounds; every upper field dominates EE.
+    """Estrada-index bounds, each rounded outward; every upper field dominates EE.
 
     lower_basic/upper_basic come from the order-m trace and the spectral
     radius (k + Tr_m/m! <= EE <= k*e^rho).  The moment bounds use
@@ -321,11 +327,8 @@ class BoundsReport:
     rho_used: SpectralRadiusEstimate
 
 
-def bounds_refined(
-    s: Spectrum | None,
-    h: UniformHypergraph,
-    rho: SpectralRadiusEstimate | None = None,
-) -> BoundsReport:
+def bounds_refined(s: Spectrum | None, h: UniformHypergraph,
+                   rho: SpectralRadiusEstimate | None = None) -> BoundsReport:
     """Evaluate the full family of EE bounds for h.
 
     The moment-based upper bounds require the spectrum s (pass None to
@@ -338,56 +341,47 @@ def bounds_refined(
     m = h.m
     tr_m = order_m_trace(h)
     # a refusal comes before the radius
-    lower_basic = _checked_float(k + tr_m / math.factorial(m), "the lower bound k + Tr_m/m! lies")
+    lower_basic = _down(_checked_float(k + tr_m / math.factorial(m),
+                                       "the lower bound k + Tr_m/m! lies"))
     if rho is None:
         rho = spectral_radius(h)
-    upper_basic = k * _safe_exp(rho.upper)
-    adj = float(tr_m / math.factorial(m))
+    upper_basic = _up(_up(float(k)) * _up(_safe_exp(rho.upper)))
 
     def pair(x: float, base: float, power: float) -> tuple[float, float]:
         """k - 1 + e^x, and that plus Tr_m/m! minus the sum of
-        base^(l*power)/l! over l = 1..m."""
-        upper = k - 1 + _safe_exp(x)
-        return upper, (math.inf if math.isinf(upper) else upper + adj - sum(
-            base ** (l * power) / math.factorial(l) for l in range(1, m + 1)))
+        base^(l*power)/l! over l = 1..m, rounded up from an upper x and a
+        lower base."""
+        upper = _up(_up(float(k - 1)) + _up(_safe_exp(x)))
+        if math.isinf(upper):
+            return upper, upper
+        cut = sum(Fraction(_down(base ** (l * power))) / math.factorial(l) for l in range(1, m + 1))
+        return upper, _up(float(Fraction(upper) + tr_m / math.factorial(m) - cut))
 
+    root_2k = _up(math.sqrt(2.0 * _up(float(k))))
     upper_radius, upper_radius_adjusted = pair(
-        rho.upper * math.sqrt(2.0 * k), math.sqrt(2.0) * rho.upper, 1)
+        _up(rho.upper * root_2k), _down(_down(math.sqrt(2.0)) * rho.upper), 1)
     upper_moment = upper_moment_adjusted = r_val = None
     if s is not None:
         alpha_sq = sum(mult * z.real**2 for z, mult in s.entries)
         tr2 = float(tr_m) if m == 2 else 0.0
         r_val = max(2.0 * alpha_sq - tr2, 0.0)
-        upper_moment, upper_moment_adjusted = pair(math.sqrt(r_val), r_val, 0.5)
-    return BoundsReport(
-        k=k,
-        lower_basic=lower_basic,
-        upper_basic=upper_basic,
-        upper_moment=upper_moment,
-        upper_moment_adjusted=upper_moment_adjusted,
-        upper_radius=upper_radius,
-        upper_radius_adjusted=upper_radius_adjusted,
-        modulus_sq_sum=r_val,
-        rho_used=rho,
-    )
+        upper_moment, upper_moment_adjusted = pair(_up(math.sqrt(r_val)), r_val, 0.5)
+    return BoundsReport(k=k, lower_basic=lower_basic, upper_basic=upper_basic,
+                        upper_moment=upper_moment, upper_moment_adjusted=upper_moment_adjusted,
+                        upper_radius=upper_radius, upper_radius_adjusted=upper_radius_adjusted,
+                        modulus_sq_sum=r_val, rho_used=rho)
 
 
-def estrada_index(
-    h: UniformHypergraph,
-    method: str = "auto",
-    *,
-    tol: float = 1e-6,
-    budget: Budget | None = None,
-    threads: int = 1,
-) -> EstradaResult:
+def estrada_index(h: UniformHypergraph, method: str = "auto", *, tol: float = 1e-6,
+                  budget: Budget | None = None, threads: int = 1) -> EstradaResult:
     """Front door: compute EE by the requested or cheapest valid method.
 
     "auto" picks its route from the input: the closed form for a
-    hyperstar; for a graph or an edgeless input the full spectrum, or the
-    certified trace series when spectrum() refuses it; the series for
-    every other input.  Explicit methods: "star", "spectrum", "series",
-    "symmetric" (spectrum + rotation-orbit formula).  An eigenvalue
-    count beyond float range is refused with FeasibilityError.
+    hyperstar; for a graph or an edgeless input the spectrum sum, a graph's
+    by eigh, or the certified trace series past spectrum()'s caps; the
+    series for every other input.  Explicit methods: "star", "spectrum",
+    "series", "symmetric" (spectrum + rotation-orbit formula).  An
+    eigenvalue count beyond float range is refused with FeasibilityError.
 
     threads is accepted and ignored: every computation runs in the
     calling process.  It goes once the benchmark harness, which passes
@@ -415,5 +409,5 @@ def estrada_index(
         s = spectrum(h, budget=budget)
         n0, reps = symmetric_representatives(s, h.m)
         result = ee_symmetric(reps, n0, h.m, k=s.k)
-        return replace(result, error_bound=_spectrum_error(s))
+        return replace(result, error_bound=_up(_spectrum_error(s, 0) + result.error_bound))
     raise ValueError(f"unknown method: {method!r}")

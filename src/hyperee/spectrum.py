@@ -1,12 +1,13 @@
 """Characteristic polynomial and eigenvalue multiset of the adjacency tensor.
 
 The full spectrum of an m-uniform hypergraph on n vertices has
-k = n*(m-1)^(n-1) eigenvalues (with multiplicity).  For small k it can be
-recovered exactly-in-structure from the power traces: Newton's identities
-turn the trace sequence into the monic characteristic polynomial over the
-rationals, and the root pipeline then factors out zero eigenvalues exactly,
-splits the rest into square-free factors (so every numeric root is simple),
-and finds those roots to near machine precision.
+k = n*(m-1)^(n-1) eigenvalues (with multiplicity).  A graph's come from
+a symmetric eigensolver.  For m >= 3 and small k they are recovered
+exactly-in-structure from the power traces: Newton's identities turn the
+trace sequence into the monic characteristic polynomial over the
+rationals, and the root pipeline then factors out zero eigenvalues
+exactly, splits the rest into square-free factors (so every numeric root
+is simple), and finds those roots to near machine precision.
 
 Hyperstars get a closed-form spectrum instead: the nonzero eigenvalues are
 the m-th roots of integers r = 1..q with explicit multiplicities.
@@ -29,7 +30,7 @@ from ._poly import (
     degree,
     squarefree_decomposition,
 )
-from .hypergraph import UniformHypergraph, detect_hyperstar
+from .hypergraph import UniformHypergraph, _incidence, detect_hyperstar
 from .traces import Budget, FeasibilityError, TraceSequence, trace_sequence
 
 Entry = tuple[complex, int]
@@ -41,6 +42,15 @@ Rep = tuple[float, float, int]
 SNAP_ATOL = 1e-8
 # how far, times 1 + |z|, a rotated eigenvalue may sit from its orbit partner
 ROTATION_TOL = 1e-8
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _gamma(j: int) -> float:
+    """Higham's gamma_j = j*u / (1 - j*u), u = 2^-53, rounded up."""
+    return _up(j * 2.0**-53 / math.nextafter(1.0 - j * 2.0**-53, 0.0))
 
 
 @dataclass(frozen=True)
@@ -64,9 +74,10 @@ class CharPoly:
 class Spectrum:
     """Eigenvalue multiset: (value, multiplicity) pairs summing to k.
 
-    residual is max |p(root)| over the scaled square-free factors the
-    numeric roots were extracted from (0.0 for closed-form spectra); it is
-    the quality handle downstream error bounds are expressed in.
+    residual is what error bounds downstream build on.  For "eigh" it is a
+    proven radius: each true eigenvalue lies within it of its own listed
+    one.  For "newton-aberth" it is max |p(root)| over the scaled
+    square-free factors of the roots, an estimate; for "closed-form", 0.0.
     """
 
     k: int
@@ -82,11 +93,6 @@ class Spectrum:
             )
         if any(mult <= 0 for _, mult in self.entries):
             raise ValueError("multiplicities must be positive")
-
-    @property
-    def rho(self) -> float:
-        """Largest eigenvalue modulus."""
-        return max(abs(z) for z, _ in self.entries)
 
 
 def charpoly_from_traces(ts: TraceSequence) -> CharPoly:
@@ -233,17 +239,16 @@ def hyperstar_spectrum(m: int, q: int) -> Spectrum:
     return Spectrum(k=k, entries=tuple(entries), provenance="closed-form")
 
 
-def spectrum(
-    h: UniformHypergraph,
-    budget: Budget | None = None,
-) -> Spectrum:
+def spectrum(h: UniformHypergraph, budget: Budget | None = None) -> Spectrum:
     """Full eigenvalue multiset of h's adjacency tensor.
 
     Hyperstars (and edgeless hypergraphs) are answered in closed form.
-    Everything else goes through exact traces + Newton's identities, which
-    is only feasible while k = n*(m-1)^(n-1) stays small; past the budget,
-    or when the roots do not converge in double precision, a
-    FeasibilityError points at the trace-series route instead.
+    Every other spectrum needs k = n*(m-1)^(n-1) within budget.max_degree:
+    a graph's comes from _graph_spectrum, its n^3 work charged to the
+    selection budget, and for m >= 3 from exact traces + Newton's
+    identities.  Past the budget, or when the roots do not converge in
+    double precision, a FeasibilityError points at the trace-series route
+    instead.
     """
     budget = budget or Budget()
     k = h.eigenvalue_count()
@@ -257,15 +262,45 @@ def spectrum(
             f"eigenvalue count, a {k.bit_length()}-bit integer, exceeds the characteristic-"
             f"polynomial budget ({budget.max_degree}); use the trace-series method"
         )
+    if h.m == 2:
+        if h.n**3 > budget.max_selections:
+            raise FeasibilityError(f"eigensolver work n^3 exceeds {budget.max_selections}")
+        return _graph_spectrum(h)
     ts = trace_sequence(h, k, budget=budget)
     cp = charpoly_from_traces(ts)
     try:
         entries, residual = roots(cp)
     except ConvergenceError as exc:
         raise FeasibilityError(f"{exc}; use the trace-series method") from exc
-    return Spectrum(
-        k=k, entries=entries, provenance="newton-aberth", residual=residual
-    )
+    return Spectrum(k=k, entries=entries, provenance="newton-aberth", residual=residual)
+
+
+def _graph_spectrum(h: UniformHypergraph) -> Spectrum:
+    """numpy.linalg.eigh of the adjacency matrix A, with a proven radius.
+
+    Each true eigenvalue lies within delta = ||R||_2 / sqrt(1 - alpha) of
+    its own lam_i, R = AV - V diag(lam) and alpha >= ||V^T V - I||_2 (Kahan;
+    Rump, Acta Numerica 19 (2010)).  Each norm is a Frobenius norm plus
+    its rounding, gamma_{n+1} times that of the absolute values, at most
+    ||V||_F (max degree + max |lam|) for R and ||V||_F^2 + n for V^T V - I.
+    A lam_i within delta of 0 is listed as 0; the residual is then 2 delta.
+    """
+    n, (edges, incident, _) = h.n, _incidence(h)
+    a = np.zeros((n, n))
+    a[tuple(zip(*edges))] = 1.0
+    a += a.T
+    lam, vec = np.linalg.eigh(a)
+    # numpy's Frobenius norm of N entries is within gamma_{N+1}
+    widen, gamma = _up(1.0 + _gamma(2 * n * n + 2)), _gamma(n + 1)
+    v, r, g = (_up(float(np.linalg.norm(x)) * widen)
+               for x in (vec, a @ vec - vec * lam, vec.T @ vec - np.identity(n)))
+    r = _up(r + _up(gamma * _up(v * _up(max(map(len, incident)) + float(np.max(np.abs(lam)))))))
+    alpha = _up(g + _up(gamma * _up(_up(v * v) + n)))
+    delta = _up(r / math.nextafter(math.sqrt(math.nextafter(1.0 - alpha, 0.0)), 0.0))
+    zero = np.abs(lam) <= delta
+    entries = [(0j if z else complex(x), 1) for x, z in zip(lam.tolist(), zero)]
+    entries.sort(key=lambda it: (-abs(it[0]), cmath.phase(it[0])))
+    return Spectrum(n, tuple(entries), "eigh", 2.0 * delta if zero.any() else delta)
 
 
 def symmetric_representatives(s: Spectrum, m: int) -> tuple[int, list[Rep]]:

@@ -59,9 +59,9 @@ class FeasibilityError(RuntimeError):
 class Budget:
     """Resource limits for exact computations."""
 
-    max_degree: int = 128  # the Newton spectrum's eigenvalue cap; the series' order cap
+    max_degree: int = 128  # every numeric spectrum's eigenvalue cap; the series' order cap
     # predicted edge-pick configurations per trace order; for graphs, the
-    # matrix-power work n^3 per bit of the order
+    # matrix-power work n^3 per bit of the order, and n^3 for the eigensolver
     max_selections: int = 10**9
 
 

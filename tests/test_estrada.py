@@ -14,14 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    adjacency_matrix,
     hyperstar_ee_m3,
     hyperstar_ee_m4,
     matrix_estrada,
+    matrix_power_sums,
     orbit_sum_m3,
     orbit_sum_m4,
     series_tail,
 )
-from conftest import CORPUS
+from conftest import CORPUS, _random_instance
 from hyperee import estrada, tensor, traces
 from hyperee._poly import ConvergenceError
 from hyperee.estrada import (
@@ -36,6 +38,7 @@ from hyperee.estrada import (
 from hyperee.hypergraph import from_edge_list, gen_empty, gen_hyperpath, gen_hyperstar
 from hyperee.spectrum import (
     Spectrum,
+    hyperstar_multiplicities,
     hyperstar_spectrum,
     spectrum,
     symmetric_representatives,
@@ -52,7 +55,24 @@ def test_single_edge_value():
     res = ee_hyperstar(3, 1)
     assert res.value == pytest.approx(want, rel=1e-12)
     assert res.method == "hyperstar-closed-form"
-    assert res.error_bound == 0.0
+    assert 0.0 < res.error_bound <= 1e-13 * res.value
+
+
+@pytest.mark.parametrize("m, q", [(3, 4), (3, 30), (4, 12), (3, 200)])
+def test_hyperstar_bound_covers_its_rounding(m, q):
+    """Against a 50-digit sum over the star's closed-form orbits, the
+    answer is a few ulps off, and error_bound covers that."""
+    res = ee_hyperstar(m, q)
+    c = hyperstar_multiplicities(m, q)
+    n = q * (m - 1) + 1
+    k = n * (m - 1) ** (n - 1)
+    with mpmath.workdps(50):
+        roots = [mpmath.root(1, m, l) for l in range(m)]
+        want = (k - m * sum(c[1:])) + mpmath.fsum(
+            c[r] * mpmath.re(mpmath.exp(mpmath.root(r, m) * w))
+            for r in range(1, q + 1) for w in roots)
+        assert abs(mpmath.mpf(res.value) - want) <= res.error_bound
+    assert res.error_bound <= 1e-12 * res.value
 
 
 def test_four_uniform_single_edge_value():
@@ -112,7 +132,9 @@ def test_spectrum_sum_error_scales_with_residual():
         provenance="test", residual=1e-12,
     )
     res = ee_from_spectrum(s)
-    assert res.error_bound == pytest.approx(2.0 * math.e * 1e-12)
+    # sum of e^(Re z) * (expm1(residual) + gamma_{N+8}), N = 2 entries
+    want = (math.e + 1.0 / math.e) * (math.expm1(1e-12) + 10 * 2.0**-53)
+    assert res.error_bound == pytest.approx(want, rel=1e-9)
 
 
 # Trace series
@@ -451,27 +473,114 @@ def test_symmetric_method_via_dispatch():
 
 
 def test_symmetric_method_carries_the_spectrum_error():
-    """On a Newton-Aberth spectrum the rotation-orbit route reports the
-    same propagated error as the spectrum sum; closed forms keep 0."""
+    """The rotation-orbit route reports the spectrum's residual propagated
+    through the exponentials plus the orbit sum's own rounding.  On a
+    closed-form spectrum, whose residual is 0, only that rounding is left."""
     h = CORPUS["tight-pair-3"]
-    want = estrada_index(h, "spectrum").error_bound
-    assert want > 0
-    assert estrada_index(h, "symmetric").error_bound == want
+    s = spectrum(h)
+    n0, reps = symmetric_representatives(s, h.m)
+    own = ee_symmetric(reps, n0, h.m, k=s.k).error_bound
+    moved = sum(mult * math.exp(z.real) for z, mult in s.entries) * math.expm1(s.residual)
+    assert moved > 0 and own > 0
+    assert estrada_index(h, "symmetric").error_bound == pytest.approx(moved + own, rel=1e-9)
     for name in ("star-3-2", "star-3-3", "star-4-1"):
-        assert estrada_index(CORPUS[name], "symmetric").error_bound == 0.0, name
+        res = estrada_index(CORPUS[name], "symmetric")
+        assert 0.0 < res.error_bound <= 1e-13 * res.value, name
 
 
-@pytest.mark.xfail(strict=True, reason="spectrum-sum's k*e^rho*residual bound is "
-                   "not a proof: the residual is never divided by |p'(z)|")
 def test_spectrum_sum_bound_covers_the_path_graph_on_31_vertices():
     """The path graph P_31 has eigenvalues 2cos(pi j/32), j = 1..31; the
-    answer is 4.2e-8 off against a reported bound of 9.5e-31."""
+    trace-Newton-Aberth route was 4.2e-8 off against a bound of 9.5e-31."""
     res = estrada_index(gen_hyperpath(2, 30), "spectrum")
     with mpmath.workdps(50):
         want = mpmath.fsum(
             mpmath.exp(2 * mpmath.cos(mpmath.pi * j / 32)) for j in range(1, 32)
         )
         assert abs(mpmath.mpf(res.value) - want) <= res.error_bound
+
+
+def _check_graph(h):
+    """Against 50-digit eigenvalues of the adjacency matrix: every "eigh"
+    entry lies within the residual of its own eigenvalue (sorted, as the
+    proven matching can be), auto's value lies within its error_bound, and
+    "symmetric" answers on a bipartite input within its bound."""
+    s = spectrum(h)
+    with mpmath.workdps(50):
+        if h.edges:
+            ref = sorted(mpmath.eigsy(mpmath.matrix(adjacency_matrix(h).tolist()),
+                                      eigvals_only=True))
+        else:
+            ref = [mpmath.mpf(0)] * h.n
+        want = mpmath.fsum(mpmath.exp(x) for x in ref)
+        if s.provenance == "eigh":
+            got = sorted(z.real for z, mult in s.entries for _ in range(mult))
+            assert all(abs(x - y) <= s.residual for x, y in zip(got, ref))
+        answers = [estrada_index(h)]
+        if not any(matrix_power_sums(h, h.n)[1::2]):  # no odd closed walk
+            answers.append(estrada_index(h, "symmetric"))
+        for res in answers:
+            assert abs(mpmath.mpf(res.value) - want) <= res.error_bound, res.method
+
+
+def test_graphs_never_reach_the_trace_engine_or_aberth(monkeypatch):
+    """Within the eigenvalue cap a graph's spectrum, and auto's and the
+    rotation-orbit answers, come from one symmetric eigensolver."""
+
+    def banned(*args, **kwargs):
+        raise AssertionError("a graph reached the trace-Newton-Aberth pipeline")
+
+    module = sys.modules["hyperee.spectrum"]
+    for name in ("trace_sequence", "charpoly_from_traces", "roots", "aberth_roots"):
+        monkeypatch.setattr(module, name, banned)
+    monkeypatch.setattr(traces, "_trace_range", banned)
+    graphs = [h for h in CORPUS.values() if h.m == 2 and h.edges]
+    assert {spectrum(h).provenance for h in graphs} == {"closed-form", "eigh"}
+    for h in graphs:
+        _check_graph(h)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 14).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2)))))))
+@example((7, {(1, 2), (3, 4)}))  # two components and three isolated vertices
+@example((9, {(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (7, 8)}))
+@example((13, {(j, j + 1) for j in range(1, 13)}))  # a path with a zero eigenvalue
+def test_graph_answers_meet_their_bounds(graph):
+    n, edges = graph
+    _check_graph(from_edge_list(2, n, sorted(edges)))
+
+
+@pytest.mark.parametrize("n, q, seed", [(30, 60, 1), (40, 80, 1), (40, 80, 2)])
+def test_random_graph_answers_meet_their_bounds(n, q, seed):
+    """G(30, 60) was 8.1e-12 off on the trace-Newton-Aberth route, against
+    a bound of 6.9e-20, and a G(40, 80) 1.2e-8 against 1.2e-31."""
+    _check_graph(_random_instance(2, n, q, seed))
+
+
+@pytest.mark.parametrize("p", [60, 127])
+def test_long_path_graphs_take_the_eigensolver(p):
+    """P_61 stalled Aberth (a refusal); P_128 fell back to the series."""
+    res = estrada_index(gen_hyperpath(2, p))
+    assert res.method == "spectrum-sum"
+    assert res.error_bound <= 1e-6
+    with mpmath.workdps(50):
+        want = mpmath.fsum(mpmath.exp(2 * mpmath.cos(mpmath.pi * j / (p + 2)))
+                           for j in range(1, p + 2))
+        assert abs(mpmath.mpf(res.value) - want) <= res.error_bound
+
+
+def test_bounds_round_outward():
+    """On edgeless inputs EE = k exactly.  For k = 40 * 3^39 the nearest
+    float lies above k and for 41 * 3^40 below it, so lower_basic must be
+    rounded down and each upper field up."""
+    for q in (40, 41):
+        h = gen_empty(4, q)
+        k = h.eigenvalue_count()
+        rep = bounds_refined(spectrum(h), h)
+        assert Fraction(rep.lower_basic) <= k
+        uppers = (rep.upper_basic, rep.upper_moment, rep.upper_moment_adjusted,
+                  rep.upper_radius, rep.upper_radius_adjusted)
+        assert all(Fraction(u) >= k for u in uppers), q
 
 
 def test_auto_prefers_star_form():
@@ -537,7 +646,7 @@ def test_root_failure_is_a_refusal_and_auto_falls_back(monkeypatch):
 
     # the package exports a function named spectrum over the submodule
     monkeypatch.setattr(sys.modules["hyperee.spectrum"], "aberth_roots", stuck)
-    h = CORPUS["rand-2-b"]
+    h = CORPUS["tight-pair-3"]
     with pytest.raises(FeasibilityError, match="did not converge"):
         spectrum(h)
     res = estrada_index(h)

@@ -148,7 +148,7 @@ def test_hyperstar_spectrum_mass_balance():
     for m, q in [(3, 2), (3, 4), (4, 2)]:
         s = hyperstar_spectrum(m, q)
         assert sum(mult for _, mult in s.entries) == s.k
-        assert s.rho == pytest.approx(q ** (1.0 / m))
+        assert max(abs(z) for z, _ in s.entries) == pytest.approx(q ** (1.0 / m))
         assert s.provenance == "closed-form"
 
 
