@@ -248,7 +248,7 @@ def cmd_bounds(
     human = [
         f"k = {rep.k}",
         f"spectral radius in [{rho.lower:.10g}, {rho.upper:.10g}] "
-        f"({rho.method})",
+        f"({rho.method} start, iterations: {rho.iterations})",
         f"lower bound (order-m trace): {rep.lower_basic:.10g}",
         f"upper bound (radius, basic): {rep.upper_basic:.10g}",
     ]

@@ -151,11 +151,11 @@ def ee_trace_series(
     falls, then rises.  If the cap budget.max_degree + 1, or an order that
     trace_d refuses, stops that pass where even the lower bound's tail is
     above target_tol, rho is the degree upper bound, chosen at the order
-    where the engine refused, without the power iteration.  Otherwise rho
-    is the power-iteration upper end, and a second pass sums on to the
-    first order whose tail meets the goal, the cap or a refusal.  Orders
-    that _order_step proves zero cost trace_d no enumeration.  A sum past
-    float range is refused."""
+    where the engine refused, without spectral_radius.  Otherwise rho is
+    the upper end of spectral_radius's enclosure, and a second pass sums
+    on to the first order whose tail meets the goal, the cap or a refusal.
+    Orders that _order_step proves zero cost trace_d no enumeration.  A
+    sum past float range is refused."""
     if not target_tol > 0:
         raise ValueError("target_tol must be positive")
     budget = budget or Budget()

@@ -281,20 +281,23 @@ def _graph_spectrum(h: UniformHypergraph) -> Spectrum:
     Each true eigenvalue lies within delta = ||R||_2 / sqrt(1 - alpha) of
     its own lam_i, R = AV - V diag(lam) and alpha >= ||V^T V - I||_2 (Kahan;
     Rump, Acta Numerica 19 (2010)).  Each norm is a Frobenius norm plus
-    its rounding, gamma_{n+1} times that of the absolute values, at most
-    ||V||_F (max degree + max |lam|) for R and ||V||_F^2 + n for V^T V - I.
-    A lam_i within delta of 0 is listed as 0; the residual is then 2 delta.
+    its rounding, gamma_{n+1} times that of the absolute values: for R the
+    norm of |A||V| + |V||diag(lam)|, itself computed in floats, and for
+    V^T V - I at most ||V||_F^2 + n.  A lam_i within delta of 0 is listed
+    as 0; the residual is then 2 delta.
     """
-    n, (edges, incident, _) = h.n, _incidence(h)
+    n = h.n
     a = np.zeros((n, n))
-    a[tuple(zip(*edges))] = 1.0
+    a[tuple(zip(*_incidence(h)[0]))] = 1.0
     a += a.T
     lam, vec = np.linalg.eigh(a)
     # numpy's Frobenius norm of N entries is within gamma_{N+1}
     widen, gamma = _up(1.0 + _gamma(2 * n * n + 2)), _gamma(n + 1)
-    v, r, g = (_up(float(np.linalg.norm(x)) * widen)
-               for x in (vec, a @ vec - vec * lam, vec.T @ vec - np.identity(n)))
-    r = _up(r + _up(gamma * _up(v * _up(max(map(len, incident)) + float(np.max(np.abs(lam)))))))
+    v, r, g, s = (_up(float(np.linalg.norm(x)) * widen)
+                  for x in (vec, a @ vec - vec * lam, vec.T @ vec - np.identity(n),
+                            a @ np.abs(vec) + np.abs(vec * lam)))
+    # each entry of the float |A||V| + |V||lam| is at least (1 - gamma) times the exact one
+    r = _up(r + _up(gamma * _up(s / math.nextafter(1.0 - gamma, 0.0))))
     alpha = _up(g + _up(gamma * _up(_up(v * v) + n)))
     delta = _up(r / math.nextafter(math.sqrt(math.nextafter(1.0 - alpha, 0.0)), 0.0))
     zero = np.abs(lam) <= delta

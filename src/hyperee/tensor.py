@@ -2,7 +2,9 @@
 
 The adjacency tensor of an m-uniform hypergraph has entries 1/(m-1)! on all
 index permutations of each edge.  Its action on a vector collapses to a sum
-of edge products, which is all the numerics below ever need.
+of edge products, which is all the numerics below ever need.  The radius
+iteration starts a graph power (loose paths, hyperstars, graphs) from its
+graph's lifted Perron vector (Zhou, Sun, Wang & Bu, EJC 21(4) 2014).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .hypergraph import UniformHypergraph, _incidence, connected_components, degrees
+from .traces import Budget
 
 
 # target relative width of the power iteration's float ratios, and the
@@ -30,7 +33,7 @@ class SpectralRadiusEstimate:
     lower: float
     upper: float
     iterations: int
-    method: str  # always "power-iteration"
+    method: str  # the start vector: "power-lift" or "power-iteration"
 
     @property
     def width(self) -> float:
@@ -87,9 +90,12 @@ def spectral_radius(h: UniformHypergraph) -> SpectralRadiusEstimate:
     underflows to 0.  For any positive x, min_i and max_i of
     (A x^{m-1})_i / x_i^{m-1} enclose rho (Yang & Yang, SIAM J. Matrix
     Anal. Appl. 31 (2010)); the enclosure is those ratios of the last
-    iterate with x^{m-1} positive, exact and rounded outward.  One pass
-    over the incidence groups the edges by the component label of their
-    first vertex, each vertex indexed by its place in its component.
+    iterate with x^{m-1} positive, exact and rounded outward.  It starts
+    from _lifted_start where that applies, else all ones; method is
+    "power-lift" when every component with edges (at least one) started
+    lifted.  One pass over the incidence groups the edges by the
+    component label of their first vertex, each vertex indexed by its
+    place in its component.
     """
     edges, _, label = _incidence(h)
     place, size = [0] * h.n, dict.fromkeys(label, 0)  # per vertex, and per component label
@@ -99,17 +105,20 @@ def spectral_radius(h: UniformHypergraph) -> SpectralRadiusEstimate:
     for e in edges:
         groups.setdefault(label[e[0]], []).append([place[v] for v in e])
     lower = upper = 0.0
-    iters = 0
+    iters, lifted = 0, bool(groups)
     for root, edges_idx in groups.items():  # an isolated vertex has none: rho = 0
-        lo, hi, it = _component_enclosure(h.m - 1, edges_idx, size[root])
+        lo, hi, it, lift = _component_enclosure(h.m - 1, edges_idx, size[root])
         lower, upper, iters = max(lower, lo), max(upper, hi), iters + it
-    return SpectralRadiusEstimate(lower, upper, iters, "power-iteration")
+        lifted = lifted and lift
+    return SpectralRadiusEstimate(
+        lower, upper, iters, "power-lift" if lifted else "power-iteration")
 
 
 def _component_enclosure(
     power: int, edges_idx: list[list[int]], size: int
-) -> tuple[float, float, int]:
-    x = prev = np.ones(size)
+) -> tuple[float, float, int, bool]:
+    start = _lifted_start(power + 1, edges_idx, size)
+    x = prev = np.ones(size) if start is None else start
     for it in range(1, RADIUS_MAX_ITER + 1):
         xp = x**power
         if not xp.min() > 0:  # an entry underflowed: the iterate before is positive
@@ -122,7 +131,47 @@ def _component_enclosure(
             break
         prev, x = x, y ** (1.0 / power)
         x /= x.max()
-    return (*_collatz_wielandt(power, edges_idx, x), it)
+    return (*_collatz_wielandt(power, edges_idx, x), it, start is not None)
+
+
+def _lifted_start(m: int, edges_idx: list[list[int]], size: int) -> np.ndarray | None:
+    """The Perron vector of a component that is the m-th power of a graph
+    G on at most Budget().max_degree vertices, or None.
+
+    G's edges are each edge's vertices of degree >= 2, at most two and
+    padded to two with its degree-1 ones; parallel edges count twice.
+    With (lam, y) G's top eigenpair, x_v = y_v^(2/m) on G's vertices and
+    (y_u y_v / lam)^(1/m) on the other vertices of edge uv, for rho =
+    lam^(2/m) (Zhou, Sun, Wang & Bu, EJC 21(4) 2014).  A regular
+    component gets None: all ones is its Perron vector already.
+    """
+    if len(edges_idx) == 1:  # a lone edge is regular
+        return None
+    deg = [0] * size
+    for idx in edges_idx:
+        for v in idx:
+            deg[v] += 1
+    cap = Budget().max_degree
+    if min(deg) == max(deg) or sum(d > 1 for d in deg) > cap:  # each is in G
+        return None
+    pairs = []
+    for idx in edges_idx:
+        pair = [v for v in idx if deg[v] > 1]
+        if len(pair) > 2:
+            return None
+        pairs += pair + [v for v in idx if deg[v] == 1][: 2 - len(pair)]
+    core, ends = np.unique(pairs, return_inverse=True)
+    if len(core) > cap:
+        return None
+    u, v = ends.reshape(-1, 2).T
+    a = np.zeros((len(core), len(core)))
+    np.add.at(a, (u, v), 1.0)
+    lam, vec = np.linalg.eigh(a + a.T)
+    y = np.abs(vec[:, -1])
+    x = np.empty(size)
+    x[np.array(edges_idx)] = ((y[u] * y[v] / lam[-1]) ** (1.0 / m))[:, None]
+    x[core] = y ** (2.0 / m)
+    return x if x.min() > 0 else None
 
 
 def _collatz_wielandt(

@@ -367,6 +367,7 @@ def test_bounds_human_without_spectrum(capsys):
     assert code == EXIT_OK
     assert "n/a (no spectrum within budget)" in out
     assert "upper bound (radius)" in out
+    assert "(power-lift start, iterations: 1)" in out
 
 
 @pytest.mark.parametrize("q", [3, 10])

@@ -557,6 +557,18 @@ def test_random_graph_answers_meet_their_bounds(n, q, seed):
     _check_graph(_random_instance(2, n, q, seed))
 
 
+@pytest.mark.parametrize("h, bound", [(gen_hyperpath(2, 30), 1.2e-11),
+                                      (_random_instance(2, 128, 400, 1), 1.0e-8)],
+                         ids=["P_31", "G(128,400)"])
+def test_graph_bounds_take_the_rounding_entry_by_entry(h, bound):
+    """The rounding of AV - V diag(lam) is bounded entry by entry, by
+    |A||V| + |V||diag(lam)|: the answers are 1.8e-15 and 2.1e-12 off, and
+    their bounds fall below the norm-wise ones, 1.2e-11 and 1.0e-8, yet
+    still cover the 50-digit eigenvalues."""
+    assert estrada_index(h).error_bound < bound
+    _check_graph(h)
+
+
 @pytest.mark.parametrize("p", [60, 127])
 def test_long_path_graphs_take_the_eigensolver(p):
     """P_61 stalled Aberth (a refusal); P_128 fell back to the series."""
@@ -736,14 +748,16 @@ def test_bounds_basic_sandwich_on_graph():
 
 
 def test_bounds_use_radius_upper_end(monkeypatch):
-    """Bounds evaluated at a starved enclosure stay valid, just looser."""
-    h = gen_hyperstar(3, 4)
+    """Bounds evaluated at a starved enclosure stay valid, just looser.
+    K_4^(3) minus an edge is neither regular nor a graph power, so its
+    radius starts from all ones and needs 9 iterations uncapped."""
+    h = from_edge_list(3, 4, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
     sharp = bounds_refined(spectrum(h), h)
     monkeypatch.setattr(tensor, "RADIUS_MAX_ITER", 1)
     loose = bounds_refined(spectrum(h), h, rho=spectral_radius(h))
     assert loose.rho_used.iterations == 1
     assert sharp.rho_used.upper <= loose.rho_used.upper
-    ee = ee_hyperstar(3, 4).value
+    ee = ee_from_spectrum(spectrum(h)).value
     assert sharp.upper_basic <= loose.upper_basic
     assert ee <= sharp.upper_basic <= loose.upper_basic
 

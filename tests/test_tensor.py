@@ -17,6 +17,7 @@ from conftest import CORPUS
 from hyperee import tensor
 from hyperee.hypergraph import from_edge_list, gen_empty, gen_hyperpath, gen_hyperstar
 from hyperee.tensor import apply, rho_lower_degree, rho_upper_degree, spectral_radius
+from hyperee.traces import Budget
 
 PROPERTY_SETTINGS = settings(
     max_examples=30, deadline=None, derandomize=True, database=None
@@ -125,23 +126,71 @@ def test_component_min_degree_is_a_lower_bound():
 def test_starved_enclosure_is_valid_and_no_tighter(monkeypatch):
     """With one iteration allowed, the enclosure is the exact
     Collatz-Wielandt interval of the second iterate: it still contains
-    rho = 4^(1/3), and it is no tighter than the converged one."""
-    converged = spectral_radius(gen_hyperstar(3, 4))
+    rho, and it is no tighter than the converged one.  K_4^(3) minus an
+    edge is neither regular nor a graph power, so it starts from all
+    ones; x = (a, b, b, b) gives 3b^2 = rho a^2 and 2ab = rho b^2, so
+    rho = 12^(1/3), below the maximum degree 3."""
+    h = from_edge_list(3, 4, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
+    converged = spectral_radius(h)
     monkeypatch.setattr(tensor, "RADIUS_MAX_ITER", 1)
-    est = spectral_radius(gen_hyperstar(3, 4))
+    est = spectral_radius(h)
     assert est.method == "power-iteration" and est.iterations == 1
-    assert est.lower <= converged.lower <= 4 ** (1.0 / 3.0)
-    assert 4 ** (1.0 / 3.0) <= converged.upper <= est.upper < 4.0
+    assert est.lower <= converged.lower <= 12 ** (1.0 / 3.0)
+    assert 12 ** (1.0 / 3.0) <= converged.upper <= est.upper < 3.0
 
 
 def test_starved_loose_path_keeps_its_upper_end(monkeypatch):
-    """Cut off at 50 iterations, the 20-edge loose path's upper end is the
-    iteration's own, not the degree bound 2, and still contains rho."""
+    """Cut off at 50 iterations (2,390 uncapped), the 20-edge loose path
+    with one more edge on the middle vertex of its second edge keeps the
+    iteration's own upper end, not the degree bound 2, and still contains
+    rho, which the converged enclosure holds.  That edge holds three
+    vertices of degree 2, so the input is no graph power."""
+    path = gen_hyperpath(3, 20)
+    h = from_edge_list(3, 43, [*path.edges, (4, 42, 43)])
+    converged = spectral_radius(h)
     monkeypatch.setattr(tensor, "RADIUS_MAX_ITER", 50)
-    est = spectral_radius(gen_hyperpath(3, 20))
+    est = spectral_radius(h)
     assert est.iterations == 50
-    rho = (2.0 * mpmath.cos(mpmath.pi / 22)) ** (mpmath.mpf(2) / 3)
-    assert est.lower <= rho <= est.upper < 2.0
+    assert est.lower <= converged.lower <= converged.upper <= est.upper < 2.0
+
+
+def test_loose_path_is_proved_at_the_first_iterate():
+    """p3-85 is the cube of the path on 86 vertices, so it starts from the
+    lifted Perron vector: the float test accepts it at iteration 1 (the
+    all-ones start stopped at the 10,000-iteration cap, 8.2e-10 wide),
+    and the exact pass proves (2cos(pi/87))^(2/3) within 1e-13."""
+    est = spectral_radius(gen_hyperpath(3, 85))
+    assert (est.iterations, est.method) == (1, "power-lift")
+    with mpmath.workdps(50):
+        rho = (2 * mpmath.cos(mpmath.pi / 87)) ** (mpmath.mpf(2) / 3)
+        assert est.lower <= rho <= est.upper
+    assert est.width < 1e-13
+
+
+def test_lift_stops_at_the_eigenvalue_cap():
+    """The hyperstar with q edges lifts from the star on q + 1 vertices,
+    each edge's core pair padded with one of its leaves.  At q + 1 =
+    Budget().max_degree it is proved at iteration 1; one edge more, and
+    it keeps the all-ones start."""
+    cap = Budget().max_degree
+    inside, past = (spectral_radius(gen_hyperstar(3, q)) for q in (cap - 1, cap))
+    assert (inside.iterations, inside.method) == (1, "power-lift")
+    assert past.iterations > 1 and past.method == "power-iteration"
+    with mpmath.workdps(50):
+        for est, q in ((inside, cap - 1), (past, cap)):
+            assert est.lower <= mpmath.mpf(q) ** (mpmath.mpf(1) / 3) <= est.upper
+
+
+def test_mixed_components_name_the_all_ones_start():
+    """method reads "power-lift" only when every component with edges
+    started from a lifted vector: a loose path beside K_4^(3) minus an
+    edge, which is no graph power, reads "power-iteration"."""
+    lifted = [(1, 2, 3), (3, 4, 5)]
+    ones = [(6, 7, 8), (6, 7, 9), (6, 8, 9)]
+    assert spectral_radius(from_edge_list(3, 9, lifted)).method == "power-lift"
+    assert spectral_radius(from_edge_list(3, 9, ones)).method == "power-iteration"
+    assert spectral_radius(from_edge_list(3, 9, lifted + ones)).method == "power-iteration"
+    assert spectral_radius(gen_empty(3, 4)).method == "power-iteration"
 
 
 def test_regular_enclosure_is_exact():
@@ -210,32 +259,43 @@ def test_radius_stops_at_the_first_underflowed_iterate():
 
 @st.composite
 def radius_cases(draw) -> tuple[str, object]:
-    """A random graph with n <= 8, a loose path or a star."""
-    kind = draw(st.sampled_from(["graph", "path", "star"]))
-    if kind == "graph":
+    """A random graph with n <= 8, the 3rd or 4th power of one (parallel
+    core pairs allowed), a loose path or a star."""
+    kind = draw(st.sampled_from(["graph", "power", "path", "star"]))
+    if kind in ("graph", "power"):
         n = draw(st.integers(2, 8))
         pairs = list(itertools.combinations(range(1, n + 1), 2))
-        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
-        return kind, from_edge_list(2, n, edges)
+        if kind == "graph":
+            edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+            return kind, from_edge_list(2, n, edges)
+        m = draw(st.integers(3, 4))
+        core = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12))
+        added = iter(range(n + 1, n + 1 + (m - 2) * len(core)))
+        edges = [(u, v, *itertools.islice(added, m - 2)) for u, v in core]
+        return kind, from_edge_list(m, n + (m - 2) * len(core), edges)
     m, size = draw(st.integers(2, 5)), draw(st.integers(1, 12))
     return kind, (gen_hyperpath if kind == "path" else gen_hyperstar)(m, size)
 
 
 def _exact_radius(kind, h):
     """rho at 50 digits: mpmath's symmetric eigensolver on A for graphs,
-    (2cos(pi/(p+2)))^(2/m) on loose paths, q^(1/m) on stars."""
+    lambda_max(G)^(2/m) on the m-th power of G, (2cos(pi/(p+2)))^(2/m) on
+    loose paths, q^(1/m) on stars."""
     m, q = h.m, len(h.edges)
-    if kind == "graph":
-        a = mpmath.zeros(h.n)
-        for u, v in h.edges:
-            a[u - 1, v - 1] = a[v - 1, u - 1] = 1
-        return max(abs(lam) for lam in mpmath.eigsy(a, eigvals_only=True))
+    if kind in ("graph", "power"):
+        n = h.n - (m - 2) * q  # G's vertices come first, each edge's pair first
+        a = mpmath.zeros(n)
+        for u, v, *_ in h.edges:
+            a[u - 1, v - 1] += 1
+            a[v - 1, u - 1] += 1
+        lam = max(abs(lam) for lam in mpmath.eigsy(a, eigvals_only=True))
+        return lam ** (mpmath.mpf(2) / m)
     if kind == "path":
         return (2 * mpmath.cos(mpmath.pi / (q + 2))) ** (mpmath.mpf(2) / m)
     return mpmath.mpf(q) ** (mpmath.mpf(1) / m)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from([1, 2, 5, tensor.RADIUS_MAX_ITER]), radius_cases())
 def test_enclosure_contains_the_radius_at_50_digits(max_iter, case):
     """Whatever the iteration cap, the enclosure contains rho.  The slack
