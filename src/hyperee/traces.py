@@ -15,11 +15,13 @@ from it, so its Laplacian rows are eliminated in closed form (a Schur
 complement), and the splits of the picks are summed in integers against
 the small matrix left on the shared vertices, kept up to date pick by
 pick; the per-vertex shares are summed in integers over one common
-denominator.  The split sum of a vector of pick totals depends only on the
-isomorphism class of its weighted support (the d-subgraph trace formula of
-Shao, Qi & Hu, Linear Multilinear Algebra 63 (2015)), so each call forms it
-once per exact key of the support, canonical when no two of its edges
-tie, and keeps nothing after.
+denominator.  Each candidate travels as its weighted support, its active
+edges with their pick totals, and is analysed once, for the picks and the
+degrees of its vertices, which the class key and the split sum read.  The
+split sum depends only on the isomorphism class of the weighted support
+(the d-subgraph trace formula of Shao, Qi & Hu, Linear Multilinear
+Algebra 63 (2015)), so each call forms it once per exact key of the
+support, canonical when no two of its edges tie, and keeps nothing after.
 
 trace_d, trace_sequence and vertex_trace_terms are views of one pass that
 forms the n per-vertex shares of every order in a range: the sums of the
@@ -206,7 +208,7 @@ def _order_step(h: UniformHypergraph, top: int) -> int:
     return h.m if top > h.m and _rotation_labelling(h) is not None else 1
 
 
-@lru_cache(maxsize=8)  # the series asks at every order, auto on a graph on both routes
+@lru_cache(maxsize=8)  # the series asks for its step, then at each order through trace_d
 def _rotation_labelling(h: UniformHypergraph) -> tuple[int, ...] | None:
     """A labelling phi of the vertices by Z_m with sum_{v in e} phi(v) = 1
     (mod m) on every edge e, or None if there is none.
@@ -368,23 +370,26 @@ def vertex_trace_terms(
 
 def _sigma_range(
     h: UniformHypergraph, orders: list[int], budget: Budget
-) -> dict[int, list[tuple[int, ...]]]:
+) -> dict[int, list[tuple[tuple[int, int], ...]]]:
     """The sigma candidates of the ascending orders, by order, from one
     depth-first pass over orders[0]..orders[-1]: per-edge pick totals sigma
     whose sum is the order, whose vertex totals are all divisible by m
     (necessary for in/out balance), and whose active edges are connected.
-    Each of the orders is charged its closed-form work, then the predicted
-    tables of its candidates, and the first one refused raises
-    FeasibilityError; orders past a refused one leave the search as soon
-    as it is found.  The last edge takes every total that keeps the sum in
-    range.
+    Each candidate is emitted as its weighted support, the ascending
+    (edge index, total) pairs of its active edges.  Each of the orders is
+    charged its closed-form work, then the predicted tables
+    prod_e C(sigma_e+m-1, m-1) of its candidates' supports, and the first
+    one refused raises FeasibilityError; orders past a refused one leave
+    the search as soon as it is found.  The last edge takes every total
+    that keeps the sum in range.
 
     The search keeps its own stack, one level per edge, so the number of
     edges is not bounded by the interpreter's recursion limit: edge i's
     level holds the next total to try on it (following[i]) and the step to
-    the one after (stride[i]), the sum of the totals before it (base[i])
-    and the components of the active edges before it (parts[i]), each as
-    its vertices' bit mask and the last edge holding one of them.
+    the one after (stride[i]), the sum of the totals before it (base[i]),
+    the components of the active edges before it (parts[i]), each as its
+    vertices' bit mask and the last edge holding one of them, and the
+    support before it (held[i]).
     A partial sigma is dropped when its vertex totals lack more, to the
     next multiples of m, than the picks left below the end can give, and
     when its active edges form two or more components one of which no
@@ -405,13 +410,15 @@ def _sigma_range(
     vertex_total = [0] * n
     owed = 0  # what the vertex totals lack to the next multiples of m, summed
     sigma = [0] * len(edges)
-    found: dict[int, list[tuple[int, ...]]] = {}
+    found: dict[int, list[tuple[tuple[int, int], ...]]] = {}
     charged: dict[int, int] = {}
     following = [0] * len(edges)
     stride = [1] * len(edges)
     base = [0] * len(edges)
     parts: list[tuple[tuple[int, int], ...]] = [()] * len(edges)
-    i, total, joined = 0, 0, ()  # the edge to enter, the sum and components before it
+    held: list[tuple[tuple[int, int], ...]] = [()] * len(edges)
+    # the edge to enter, and the sum, components and support before it
+    i, total, joined, support = 0, 0, (), ()
     while end > lo:  # else every order is refused, and nothing is left to find
         final = finalize_at[i]  # never empty at the last edge
         if i == last:
@@ -422,7 +429,7 @@ def _sigma_range(
             following[i], stride[i] = -vertex_total[final[0]] % m, m
         else:
             following[i], stride[i] = 0, 1
-        base[i], parts[i] = total, joined
+        base[i], parts[i], held[i] = total, joined, support
         while i >= 0:  # try the next total on edge i
             total, prev = base[i], sigma[i]
             s = following[i]
@@ -457,28 +464,21 @@ def _sigma_range(
                     break  # enter edge i + 1
                 continue
             if len(joined) == 1:
-                d = total + s
-                work = charged.get(d, 0) + _predicted_tables(sigma, m)
+                d, support = total + s, (*held[i], (i, s)) if s else held[i]
+                work = charged.get(d, 0) + math.prod(
+                    math.comb(t + m - 1, m - 1) for _, t in support)
                 if work > budget.max_selections:
                     end = d
                 else:
                     charged[d] = work
-                    found.setdefault(d, []).append(tuple(sigma))
+                    found.setdefault(d, []).append(support)
         else:
             break  # the search is over
-        i, total = i + 1, total + s
+        i, total, support = i + 1, total + s, (*held[i], (i, s)) if s else held[i]
 
     if end <= orders[-1]:  # the cut, or an order with candidates: one of orders
         raise _infeasible(n, m, end, budget)
     return found
-
-
-def _predicted_tables(sigma: list[int], m: int) -> int:
-    pred = 1
-    for s in sigma:
-        if s:
-            pred *= math.comb(s + m - 1, m - 1)
-    return pred
 
 
 def _join(
@@ -498,113 +498,111 @@ def _join(
 
 def _accumulate(
     h: UniformHypergraph,
-    candidates: list[tuple[int, ...]],
+    candidates: list[tuple[tuple[int, int], ...]],
 ) -> tuple[list[int], int]:
     """Sum the per-vertex contributions of every pick configuration.
 
-    For a configuration with per-edge totals sigma, vertex v makes
-    s_v = (sum of sigma over edges at v)/m picks; each way x of splitting
-    the totals (x[v,e] picks of edge e by vertex v, row sums s_v, column
-    sums sigma_e) is one balanced arc multiset, weighted by
+    A configuration is a weighted support: its active edges e with their
+    totals sigma_e.  One pass over its edges gives the record the class
+    key and the split sum read: vertex v's picks s_v = (sum of sigma over
+    the active edges at v)/m and its degree among them, on the support's
+    vertices alone.  Each way x of splitting the totals (x[v,e] picks of
+    edge e by vertex v, row sums s_v, column sums sigma_e) is one balanced
+    arc multiset, weighted by
 
         s_v! / (prod_e x[v,e]!)           per active vertex (pick orderings)
         1 / ((m-1) s_v)!                  per active vertex (normalisation)
         Eulerian cycle classes of the     (arborescence determinant times
         arc multiset                       prod_v (outdeg(v)-1)!)
 
-    Out-degrees (m-1) s_v depend on sigma alone, so with T the integer
-    table sum of _sum_over_tables the configuration contributes
+    Out-degrees (m-1) s_v depend on the support alone, so with T the
+    integer table sum of _sum_over_tables the configuration contributes
 
         T * prod_v s_v! / (prod_v (m-1) s_v * prod_e sigma_e!)
 
-    per pick of each active vertex; the sums, times (m-1)^n (the global
+    per pick of each active vertex, to the shares of the support's
+    vertices alone.  The n sums, times (m-1)^n once (the global
     (m-1)^(n-1) together with one m-1 per start-vertex arc share), are
     returned as n numerators over their least common denominator.
 
     That weight depends only on the isomorphism class of the weighted
-    support, the active edges with their totals: an isomorphism carries
-    the splits of one onto the splits of the other, and a balanced
-    digraph has as many arborescences towards each of its vertices.  So
-    it is formed once per key of the support (_class_key) in this call
-    and reused for the other candidates with that key.  Nothing is kept
-    from one call to the next.  The 0-based edges are read from h's
-    incidence (_incidence) once per call and passed to _sum_over_tables.
+    support: an isomorphism carries the splits of one onto the splits of
+    the other, and a balanced digraph has as many arborescences towards
+    each of its vertices.  So it is formed once per key of the support
+    (_class_key) in this call and reused for the other candidates with
+    that key.  Nothing is kept from one call to the next.  The 0-based
+    edges are read from h's incidence (_incidence) once per call.
     """
     m, n = h.m, h.n
     edges = _incidence(h)[0]
     weights: dict[tuple, tuple[int, int]] = {}  # class key -> (numerator, denominator)
-    parts: list[tuple[int, int, list[int]]] = []  # (numerator, denominator, s)
-    for sigma in candidates:
-        s = [0] * n
-        for e_idx, se in enumerate(sigma):
-            if se:
-                for v in edges[e_idx]:
-                    s[v] += se
-        for v in range(n):
-            s[v] //= m
-        key = _class_key(edges, sigma)
+    parts: list[tuple[int, int, dict[int, int]]] = []  # (numerator, denominator, picks)
+    for support in candidates:
+        picks: dict[int, int] = {}  # each vertex's total, then its picks
+        degree: dict[int, int] = {}
+        for i, t in support:
+            for v in edges[i]:
+                picks[v] = picks.get(v, 0) + t
+                degree[v] = degree.get(v, 0) + 1
+        for v in picks:
+            picks[v] //= m
+        key = _class_key(edges, support, degree)
         weight = weights.get(key)
         if weight is None:
-            num, den = _sum_over_tables(m, edges, sigma, s), 1
-            for se in sigma:
-                den *= math.factorial(se)
-            for sv in s:
-                if sv:
-                    num *= math.factorial(sv)
-                    den *= (m - 1) * sv
+            num, den = _sum_over_tables(m, edges, support, picks, degree), 1
+            for _, t in support:
+                den *= math.factorial(t)
+            for sv in picks.values():
+                num *= math.factorial(sv)
+                den *= (m - 1) * sv
             weight = weights[key] = num, den
         if weight[0]:
-            parts.append((*weight, s))
-    common, scale = math.lcm(*(den for _, den, _ in parts)), (m - 1) ** n
+            parts.append((*weight, picks))
+    common = math.lcm(*(den for _, den, _ in parts))
     acc = [0] * n
-    for num, den, s in parts:
-        num *= common // den * scale
-        for v in range(n):
-            acc[v] += num * s[v]
-    return acc, common
+    for num, den, picks in parts:
+        num *= common // den
+        for v, sv in picks.items():
+            acc[v] += num * sv
+    scale = (m - 1) ** n
+    return [a * scale for a in acc], common
 
 
-def _class_key(edges: Sequence[tuple[int, ...]], sigma: tuple[int, ...]) -> tuple:
-    """An exact key of the weighted support of sigma.
+def _class_key(edges: Sequence[tuple[int, ...]], support: tuple[tuple[int, int], ...],
+               degree: dict[int, int]) -> tuple:
+    """An exact key of a weighted support, given the degrees of its
+    vertices among its edges.
 
-    Each active edge is coloured by its total and the sorted degrees of its
-    vertices among the active edges, and the edges are sorted by colour,
-    ties broken by edge index.  In that order, vertex v's membership mask
-    has bit j set when v lies in the j-th edge; the sorted masks give the
+    Each edge of the support is coloured by its total and the sorted
+    degrees of its vertices, and the edges are sorted by colour, ties
+    broken by edge index.  In that order, vertex v's membership mask has
+    bit j set when v lies in the j-th edge; the sorted masks give the
     support back up to the names of its vertices.  The key is the colours
     in order with the sorted masks, so equal keys mean isomorphic supports:
     the j-th edges correspond, and so do vertices with equal masks.  When
-    no two active edges share a colour the order is forced, and the key is
-    canonical; under ties two isomorphic supports may get different keys,
-    which costs a shared sum, never a wrong one."""
-    active = [i for i, se in enumerate(sigma) if se]
-    degree: dict[int, int] = {}
-    for i in active:
-        for v in edges[i]:
-            degree[v] = degree.get(v, 0) + 1
-    coloured = sorted(((sigma[i], *sorted(degree[v] for v in edges[i])), i) for i in active)
-    return (tuple(colour for colour, _ in coloured),
-            _membership(edges, degree, (i for _, i in coloured)))
-
-
-def _membership(edges: Sequence[tuple[int, ...]], vertices, order) -> tuple[int, ...]:
-    """The sorted membership masks of the vertices: bit j of a vertex's mask
-    is set when it lies in the j-th edge of order."""
-    mask = dict.fromkeys(vertices, 0)
-    for j, i in enumerate(order):
+    no two edges of the support share a colour the order is forced, and
+    the key is canonical; under ties two isomorphic supports may get
+    different keys, which costs a shared sum, never a wrong one."""
+    coloured = sorted(((t, *sorted(degree[v] for v in edges[i])), i) for i, t in support)
+    mask = dict.fromkeys(degree, 0)
+    for j, (_, i) in enumerate(coloured):
         for v in edges[i]:
             mask[v] |= 1 << j
-    return tuple(sorted(mask.values()))
+    return tuple(colour for colour, _ in coloured), tuple(sorted(mask.values()))
 
 
 def _sum_over_tables(
     m: int,
     edges: Sequence[tuple[int, ...]],
-    sigma: tuple[int, ...],
-    s: list[int],
+    support: tuple[tuple[int, int], ...],
+    s: dict[int, int],
+    degree: dict[int, int],
 ) -> int:
-    """Sum of trees(x) * prod_e sigma_e! / prod x! over all splits x
-    consistent with sigma and s, in integers.
+    """Sum of trees(x) * prod_e sigma_e! / prod x! over all splits x of
+    the weighted support's totals sigma_e with row sums s_v, in integers.
+    s and degree, its vertices' picks and degrees among its edges, are
+    _accumulate's record, and the caps and needs below are kept on the
+    support's vertices alone.
 
     trees(x) counts the arborescences of the split's arc multiset towards a
     root: the determinant of its Laplacian with the root's row and column
@@ -629,15 +627,10 @@ def _sum_over_tables(
     on backtrack.  No later edge can supply the last edge's pickers, so
     each of them takes what it still needs there.
     """
-    active = [i for i, se in enumerate(sigma) if se]
-    degree: dict[int, int] = {}
-    for i in active:
-        for v in edges[i]:
-            degree[v] = degree.get(v, 0) + 1
     core = sorted(v for v, k in degree.items() if k > 1)
     root = core.pop(0) if core else min(degree)
     index = {v: j for j, v in enumerate(core)}
-    leaves = [[w for w in edges[i] if degree[w] == 1 and w != root] for i in active]
+    leaves = [[w for w in edges[i] if degree[w] == 1 and w != root] for i, _ in support]
     g = math.lcm(*(m - len(ws) for ws in leaves))
     lap = [[0] * len(core) for _ in core]
     for v, j in index.items():
@@ -648,14 +641,14 @@ def _sum_over_tables(
     # this one, its reduced Laplacian row, and the entries each of its
     # picks moves with their coefficients (none for the root)
     steps: list[tuple[int, list[tuple[int, int, list[int], list[tuple[int, int]]]]]] = []
-    running = [0] * len(s)
-    for i, ws in reversed(list(zip(active, leaves))):
-        k, left = len(ws), sigma[i] - sum(s[w] for w in ws)
+    running = dict.fromkeys(s, 0)
+    for (i, t), ws in reversed(list(zip(support, leaves))):
+        k, left = len(ws), t - sum(s[w] for w in ws)
         if left < 0:
             return 0
         if k:
             factor *= m ** (k - 1) * (m - k)
-        rest = sigma[i]
+        rest = t
         for w in ws:
             factor *= s[w] * math.comb(rest, s[w])
             rest -= s[w]
@@ -671,7 +664,7 @@ def _sum_over_tables(
         for v in pickers:
             running[v] += left
     steps.reverse()
-    remaining = list(s)
+    remaining = dict(s)
     det = _DETERMINANTS[len(lap)] if len(lap) < len(_DETERMINANTS) else _det_bareiss
     total = 0
 

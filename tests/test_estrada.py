@@ -262,7 +262,7 @@ def test_series_enumerates_only_orders_that_can_be_nonzero(monkeypatch):
         return enumerate_range(ctx, orders, budget)
 
     def record_accumulate(ctx, candidates):
-        accumulated.append(sum(candidates[0]))
+        accumulated.append(sum(t for _, t in candidates[0]))
         return accumulate(ctx, candidates)
 
     monkeypatch.setattr(sys.modules["hyperee.estrada"], "trace_d", record)

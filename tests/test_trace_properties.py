@@ -34,7 +34,7 @@ from hyperee.traces import (
     trace_sequence,
     vertex_trace_terms,
 )
-from test_traces import _engine_trace
+from test_traces import _engine_trace, _record, _support
 
 PROPERTY_SETTINGS = settings(
     max_examples=30, deadline=None, derandomize=True, database=None
@@ -167,9 +167,9 @@ def test_range_candidates_match_brute_force(h, lo):
         totals = [sum(s for s, e in zip(sigma, h.edges) if v in e) for v in range(1, h.n + 1)]
         active = [e for s, e in zip(sigma, h.edges) if s]
         if lo <= sum(sigma) <= 9 and all(t % h.m == 0 for t in totals) and connected(active):
-            want.setdefault(sum(sigma), []).append(sigma)
+            want.setdefault(sum(sigma), []).append(_support(sigma))
     found = traces._sigma_range(h, list(range(lo, 10)), Budget())
-    assert {d: sorted(c) for d, c in found.items()} == want
+    assert {d: sorted(c) for d, c in found.items()} == {d: sorted(c) for d, c in want.items()}
 
 
 @PROPERTY_SETTINGS
@@ -202,21 +202,18 @@ def test_search_finds_what_every_vector_finds(h, lo, width, exponent):
             traces._sigma_range(h, list(range(lo, hi + 1)), budget)
         assert str(refusal.value) == str(traces._infeasible(h.n, h.m, want, budget))
     else:
-        assert traces._sigma_range(h, list(range(lo, hi + 1)), budget) == want
+        assert traces._sigma_range(h, list(range(lo, hi + 1)), budget) == {
+            d: [_support(sigma) for sigma in c] for d, c in want.items()}
 
 
 def _supports(h: UniformHypergraph, d: int):
-    """(0-based edges, sigma, per-vertex picks s) of every sigma candidate
-    of order d; none without edges."""
+    """(0-based edges, weighted support) of every sigma candidate of order
+    d; none without edges."""
     if not h.edges:
         return
     edges = _incidence(h)[0]
-    for sigma in traces._sigma_range(h, [d], Budget()).get(d, []):
-        totals = [0] * h.n
-        for se, e in zip(sigma, edges):
-            for v in e:
-                totals[v] += se
-        yield edges, sigma, [t // h.m for t in totals]
+    for support in traces._sigma_range(h, [d], Budget()).get(d, []):
+        yield edges, support
 
 
 # every vertex of the Pasch configuration lies in two edges: no leaf, and a
@@ -248,9 +245,14 @@ def test_core_reduction_matches_the_full_laplacian(h, d):
     """The split sum on the core of each support, its leaves eliminated
     in closed form, equals the sum over every split of the whole
     Laplacian's determinant."""
-    for edges, sigma, s in _supports(h, d):
-        assert traces._sum_over_tables(h.m, edges, sigma, s) == full_laplacian_table_sum(
-            h.m, h.n, edges, sigma, s), sigma
+    for edges, support in _supports(h, d):
+        picks, degree = _record(h.m, edges, support)
+        sigma = [0] * len(edges)  # the oracle reads dense totals and picks
+        for i, t in support:
+            sigma[i] = t
+        assert traces._sum_over_tables(h.m, edges, support, picks, degree) == (
+            full_laplacian_table_sum(h.m, h.n, edges, tuple(sigma),
+                                     [picks.get(v, 0) for v in range(h.n)])), sigma
 
 
 def _proved_zero(h: UniformHypergraph, d: int) -> bool:
@@ -266,7 +268,8 @@ def _own_work(h: UniformHypergraph, d: int) -> int:
     if not h.edges:
         return 0
     found = traces._sigma_range(h, [d], Budget())
-    tables = sum(traces._predicted_tables(sigma, h.m) for sigma in found.get(d, []))
+    tables = sum(math.prod(math.comb(t + h.m - 1, h.m - 1) for _, t in support)
+                 for support in found.get(d, []))
     return max(math.comb(d + len(h.edges) - 1, len(h.edges) - 1), tables)
 
 
@@ -317,7 +320,7 @@ def _keyless(h: UniformHypergraph, max_d: int):
     every candidate summed on its own instead of once per class: keyed by
     its own totals, as no two candidates of one order share them."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(traces, "_class_key", lambda edges, sigma: tuple(sigma))
+        mp.setattr(traces, "_class_key", lambda edges, support, degree: support)
         return trace_sequence(h, max_d), [vertex_trace_terms(h, d) for d in range(max_d + 1)]
 
 

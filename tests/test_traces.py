@@ -388,6 +388,29 @@ def test_complete_three_graph_on_four_vertices_is_not_symmetric():
     assert trace_d(h, 4) == 168
 
 
+def _support(sigma) -> tuple[tuple[int, int], ...]:
+    """The weighted support of a vector of per-edge pick totals, as the
+    engine carries a candidate: the ascending (edge index, total) pairs
+    with total > 0."""
+    return tuple((i, t) for i, t in enumerate(sigma) if t)
+
+
+def _record(m, edges, support) -> tuple[dict[int, int], dict[int, int]]:
+    """The picks (vertex total / m) and the degree among the support's
+    edges of every vertex of a weighted support."""
+    totals, degree = {}, {}
+    for i, t in support:
+        for v in edges[i]:
+            totals[v] = totals.get(v, 0) + t
+            degree[v] = degree.get(v, 0) + 1
+    return {v: t // m for v, t in totals.items()}, degree
+
+
+def _key(m, edges, support) -> tuple:
+    """The engine's class key of a weighted support."""
+    return traces._class_key(edges, support, _record(m, edges, support)[1])
+
+
 def _engine_trace(h, d, budget=None):
     """Tr_d from the sigma search and the per-vertex accumulation alone, the
     Eulerian engine, which never consults the labelling (graphs included)."""
@@ -450,7 +473,7 @@ def test_trace_sequence_skips_certified_orders(monkeypatch):
         return enumerate_range(ctx, orders, budget)
 
     def record_accumulate(ctx, candidates):
-        accumulated.append(sum(candidates[0]))
+        accumulated.append(sum(t for _, t in candidates[0]))
         return accumulate(ctx, candidates)
 
     monkeypatch.setattr(traces, "_sigma_range", record_pass)
@@ -513,9 +536,9 @@ def _keyed_supports(h, orders):
     orders; a support is a list of (total, edge) pairs."""
     edges = _incidence(h)[0]
     return [
-        (traces._class_key(edges, sigma), [(s, e) for s, e in zip(sigma, edges) if s])
+        (_key(h.m, edges, support), [(t, edges[i]) for i, t in support])
         for found in traces._sigma_range(h, orders, Budget()).values()
-        for sigma in found
+        for support in found
     ]
 
 
@@ -560,21 +583,21 @@ def test_equal_edge_colours_do_not_make_equal_keys():
     edge colours all differ keeps its key under a relabelling of its
     vertices and a reordering of its edges."""
     sigma = (3, 3, 3, 3)
-    keys = [traces._class_key(_incidence(h)[0], sigma)
+    keys = [_key(3, _incidence(h)[0], _support(sigma))
             for h in (PASCH, TWO_PAIRS)]
     assert keys[0] != keys[1]
     assert keys[0][0] == keys[1][0]  # the colours
     assert not weighted_supports_isomorphic(*(
         [(3, e) for e in h.edges] for h in (PASCH, TWO_PAIRS)))
     path, sigma = gen_hyperpath(3, 3), (3, 6, 9)
-    key = traces._class_key(_incidence(path)[0], sigma)
+    key = _key(3, _incidence(path)[0], _support(sigma))
     assert _tie_free(key)
     perm = [5, 7, 2, 1, 6, 3, 4]
     total = {tuple(sorted(perm[v - 1] - 1 for v in e)): t for e, t in zip(path.edges, sigma)}
     moved = from_edge_list(3, 7, [tuple(perm[v - 1] for v in e) for e in path.edges])
     edges = _incidence(moved)[0]
     assert [total[tuple(sorted(e))] for e in edges] != list(sigma)  # the edges moved
-    assert traces._class_key(edges, tuple(total[tuple(sorted(e))] for e in edges)) == key
+    assert _key(3, edges, _support(total[tuple(sorted(e))] for e in edges)) == key
 
 
 def test_every_candidate_of_k5_has_a_shared_key():
