@@ -1,20 +1,18 @@
-"""Estrada index of uniform hypergraphs, by four methods, with bounds.
+"""Estrada index of uniform hypergraphs, by two evaluations, with bounds.
 
 EE = sum of e^lambda over all k = n*(m-1)^(n-1) adjacency-tensor
-eigenvalues.  Each method carries its own error story:
+eigenvalues.  It is evaluated one of two ways:
 
-* spectrum-sum: exponentiate an explicit eigenvalue multiset; the
-  spectrum's residual and the sum's rounding make up the error bound.
+* the exponential sum over an explicit eigenvalue multiset, whose
+  residual and rounding make up the error bound.  spectrum-sum sums
+  spectrum()'s multiset, hyperstar-closed-form the hyperstar's closed
+  form, and symmetric-formula the rotation orbits lambda e^(2*pi*i*l/m)
+  of one representative each, expanded into their members.
 * trace-series: partial sums of sum_d Tr_d / d! in exact rational
   arithmetic, truncated once a certified tail bound drops below the
   target tolerance (|Tr_d| <= k * rho^d bounds the tail by k times a
   remainder of the series of e^rho); orders certified zero by an
   m-symmetry labelling cost no enumeration.
-* symmetric-formula: for spectra invariant under rotation by
-  e^(2*pi*i/m), the exponential sum over each rotation orbit collapses
-  to a real trigonometric expression in one representative.
-* hyperstar-closed-form: the rotation-orbit formula applied to the
-  hyperstar's known orbits, the m-th roots of r = 1..q.
 
 The module also evaluates spectral bounds on EE: an exact lower bound
 from the order-m trace, and a family of upper bounds driven by the
@@ -28,16 +26,18 @@ import cmath
 import itertools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .hypergraph import UniformHypergraph, detect_hyperstar
 from .spectrum import (
     Rep,
     Spectrum,
+    _down,
     _gamma,
-    _hyperstar_orbits,
+    _orbit_spectrum,
     _up,
+    hyperstar_spectrum,
     spectrum,
     symmetric_representatives,
 )
@@ -61,10 +61,11 @@ IMAG_DISCARD_LIMIT = 1e-8
 class EstradaResult:
     """One computed Estrada index value.
 
-    error_bound is certified for trace-series (a true tail bound) and the
-    closed forms (their rounding).  Spectrum-sum, and symmetric-formula on
-    a numeric spectrum, add the spectrum's residual, a proof for "eigh" and
-    an estimate for Newton.  imag_discard records the imaginary mass
+    error_bound is certified for trace-series (a true tail bound).  The
+    other methods answer by one exponential sum over a spectrum, and their
+    bound is its rounding plus the spectrum's residual carried through the
+    exponentials: a proof for "eigh" and the closed forms, an estimate for
+    Newton.  imag_discard records the imaginary mass
     dropped when realizing the value.  converged is False only for a
     trace series whose error_bound, which honestly covers the missing
     tail and the float rounding, exceeds its target: the budget or the cap
@@ -107,28 +108,34 @@ def _safe_exp(x: float) -> float:
 
 
 def ee_from_spectrum(s: Spectrum) -> EstradaResult:
-    """EE as the direct sum of exponentials over the eigenvalue multiset;
-    of N terms mult * e^x cos y, each is within gamma_7 (exp and cos within
-    one ulp), and their sum adds gamma_{N-1} to the rounding."""
+    """EE as the direct sum of exponentials over the eigenvalue multiset."""
+    return _exp_sum(s, "spectrum-sum")
+
+
+def _exp_sum(s: Spectrum, method: str) -> EstradaResult:
+    """The sum of mult * e^z over s, reported as method; every route but
+    the series answers by it, and a term or sum past float range is refused.
+
+    error_bound is W (expm1(residual) + gamma_{N+8}), W the sum of
+    mult e^(Re z) over the N entries: the eigenvalues' error, as |e^w - e^z|
+    <= e^(Re z) expm1(|w - z|), plus N terms mult e^x cos y each within
+    gamma_7 (exp and cos within one ulp) and their sum's gamma_{N-1}.
+    Widening by gamma_{2N+8} covers W's and expm1's rounding."""
     total = 0j
-    for z, mult in s.entries:
-        total += mult * cmath.exp(z)
-    value = total.real
+    try:
+        for z, mult in s.entries:
+            total += mult * cmath.exp(z)
+    except OverflowError:
+        raise FeasibilityError("a term mult * e^z lies beyond float range") from None
+    value = _checked_float(total.real, "the Estrada index lies")
     discard = abs(total.imag)
     if discard > IMAG_DISCARD_LIMIT * max(1.0, abs(value)):
         raise ValueError(f"eigenvalue multiset is not conjugate-closed: discarding "
                          f"imaginary mass {discard:.3e} against value {value:.6g}")
-    return EstradaResult(value, "spectrum-sum", _spectrum_error(s, len(s.entries) + 8),
-                         imag_discard=discard)
-
-
-def _spectrum_error(s: Spectrum, ops: int) -> float:
-    """W (expm1(residual) + gamma_ops), W the sum of mult e^(Re z): as
-    |e^w - e^z| <= e^(Re z) expm1(|w - z|), the eigenvalues' error, plus ops
-    roundings per term.  Widening by gamma_{2N+8} covers W's and expm1's."""
     weight = sum(mult * _safe_exp(z.real) for z, mult in s.entries)
-    part = _up(weight * _up(math.expm1(s.residual) + _gamma(ops)))
-    return _up(part + _up(part * _gamma(2 * len(s.entries) + 8)))
+    part = _up(weight * _up(math.expm1(s.residual) + _gamma(len(s.entries) + 8)))
+    bound = _up(part + _up(part * _gamma(2 * len(s.entries) + 8)))
+    return EstradaResult(value, method, bound, imag_discard=discard)
 
 
 def ee_trace_series(
@@ -230,68 +237,30 @@ def _series_tails(k: int, rho: float) -> Iterator[float]:
         yield tail
 
 
-def _down(x: float) -> float:
-    return math.nextafter(x, -math.inf)
-
-
-def _orbit_sum(alpha: float, beta: float, m: int) -> float:
-    """Real part of sum over the m rotations of e^((alpha+i*beta)*w^r)."""
-    total = 0.0
-    for r in range(1, m + 1):
-        c = math.cos(2.0 * math.pi * r / m)
-        s = math.sin(2.0 * math.pi * r / m)
-        total += math.exp(alpha * c - beta * s) * math.cos(
-            beta * c + alpha * s
-        )
-    return total
-
-
 def ee_symmetric(nonzero_reps: list[Rep], n0: int, m: int, k: int | None = None) -> EstradaResult:
     """EE of an m-fold rotation-symmetric spectrum from orbit data.
 
     nonzero_reps lists one (alpha, beta, multiplicity) per rotation
     orbit; the value returned covers all m members of each orbit plus n0
     zeros.  With k supplied, n0 + m * (total multiplicity) == k is
-    enforced.
-    error_bound is the rounding: W (nu gamma_{R+70} + gamma_{m+2R+16}) for
-    R reps, nu the largest |alpha| + |beta| and W = n0 + sum mult m e^nu.
-    A rep within 9 nu ulps, as r^(1/m) is, and cos, sin of 2 pi r/m within
-    21, put each exp-cos term within 64 nu + 5 ulps of e^nu.
+    enforced.  The orbits are expanded into their members, the rotations'
+    rounding carried in the residual (_orbit_spectrum), and summed as in
+    ee_from_spectrum: members that are not conjugate-closed are a ValueError.
     """
-    if m < 2:
-        raise ValueError("uniformity must be at least 2")
-    if n0 < 0 or any(mult < 1 for _, _, mult in nonzero_reps):
-        raise ValueError("multiplicities must be positive and n0 >= 0")
-    if k is not None:
-        covered = n0 + m * sum(mult for _, _, mult in nonzero_reps)
-        if covered != k:
-            raise ValueError(
-                f"representatives cover {covered} eigenvalues, expected {k}"
-            )
-    value = weight = float(n0)
-    nu = 0.0
-    for alpha, beta, mult in nonzero_reps:
-        value += mult * _orbit_sum(alpha, beta, m)
-        nu = max(nu, abs(alpha) + abs(beta))
-        weight += mult * m * _safe_exp(abs(alpha) + abs(beta))
-    r = len(nonzero_reps)
-    bound = _up(weight * _up(_up(nu * _gamma(r + 70)) + _gamma(m + 2 * r + 16)))
-    return EstradaResult(value=_checked_float(value, "the Estrada index lies"),
-                         method="symmetric-formula", error_bound=bound)
+    return _exp_sum(_orbit_spectrum(nonzero_reps, n0, m, k), "symmetric-formula")
 
 
 def ee_hyperstar(m: int, q: int) -> EstradaResult:
     """EE of the m-uniform hyperstar with q edges, in closed form.
 
-    The nonzero eigenvalues are the m-th roots of r = 1..q with known
-    multiplicities c_r, so EE is the rotation-orbit formula over the
-    representatives (r^(1/m), 0, c_r).  An eigenvalue count beyond float
-    range is refused before the c_r, which take O(q^2) bits, are formed.
+    The exponential sum over hyperstar_spectrum, whose nonzero eigenvalues
+    are the rotation orbits of the m-th roots of r = 1..q.  An eigenvalue
+    count beyond float range is refused before the multiplicities, which
+    take O(q^2) bits, are formed.
     """
     n = q * (m - 1) + 1
     _checked_count(n * (m - 1) ** (n - 1))
-    k, n0, reps = _hyperstar_orbits(m, q)
-    return replace(ee_symmetric(reps, n0, m, k), method="hyperstar-closed-form")
+    return _exp_sum(hyperstar_spectrum(m, q), "hyperstar-closed-form")
 
 
 def order_m_trace(h: UniformHypergraph) -> Fraction:
@@ -408,6 +377,5 @@ def estrada_index(h: UniformHypergraph, method: str = "auto", *, tol: float = 1e
     if method == "symmetric":
         s = spectrum(h, budget=budget)
         n0, reps = symmetric_representatives(s, h.m)
-        result = ee_symmetric(reps, n0, h.m, k=s.k)
-        return replace(result, error_bound=_up(_spectrum_error(s, 0) + result.error_bound))
+        return _exp_sum(_orbit_spectrum(reps, n0, h.m, s.k, s.residual), "symmetric-formula")
     raise ValueError(f"unknown method: {method!r}")

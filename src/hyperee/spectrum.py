@@ -10,7 +10,8 @@ exactly, splits the rest into square-free factors (so every numeric root
 is simple), and finds those roots to near machine precision.
 
 Hyperstars get a closed-form spectrum instead: the nonzero eigenvalues are
-the m-th roots of integers r = 1..q with explicit multiplicities.
+the m-th roots of integers r = 1..q with explicit multiplicities, listed
+orbit by orbit with the float rounding of each entry as a proven residual.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
 def _gamma(j: int) -> float:
     """Higham's gamma_j = j*u / (1 - j*u), u = 2^-53, rounded up."""
     return _up(j * 2.0**-53 / math.nextafter(1.0 - j * 2.0**-53, 0.0))
@@ -74,10 +79,12 @@ class CharPoly:
 class Spectrum:
     """Eigenvalue multiset: (value, multiplicity) pairs summing to k.
 
-    residual is what error bounds downstream build on.  For "eigh" it is a
-    proven radius: each true eigenvalue lies within it of its own listed
-    one.  For "newton-aberth" it is max |p(root)| over the scaled
-    square-free factors of the roots, an estimate; for "closed-form", 0.0.
+    residual is what error bounds downstream build on.  For "eigh" and
+    "closed-form" it is a proven radius: each true eigenvalue lies within
+    it of its own listed one.  A closed form's covers the float rounding
+    of its entries, r^(1/m) and the rotation factors (_orbit_spectrum).
+    For "newton-aberth" it is max |p(root)| over the scaled square-free
+    factors of the roots, an estimate.
     """
 
     k: int
@@ -212,31 +219,50 @@ def hyperstar_multiplicities(m: int, q: int) -> list[int]:
     return c[::-1]
 
 
-def _hyperstar_orbits(m: int, q: int) -> tuple[int, int, list[Rep]]:
-    """(k, n0, reps) of the hyperstar with q edges: its eigenvalue count,
-    its zero multiplicity, and one representative (r^(1/m), 0, c_r) per
-    rotation orbit of nonzero eigenvalues."""
+def _orbit_spectrum(reps: list[Rep], n0: int, m: int, k: int | None = None,
+                    residual: float = 0.0) -> Spectrum:
+    """The spectrum of n0 zeros and, per rep (alpha, beta, mult), the
+    orbit {(alpha + i*beta) w^l : l < m}, w = e^(2*pi*i/m), each member
+    of multiplicity mult; with k supplied, the multiplicities must sum to it.
+
+    If each rep lies within residual of a true eigenvalue whose orbit is in
+    the spectrum, each member lies within residual + nu gamma_25 of its
+    own, nu the largest |rep|; for m = 2 the rotations, 1 and -1, are
+    exact.  Any other w^l is cmath.exp of an angle below 2 pi and within
+    gamma_3 of 2 pi l/m relatively, with cos and sin within one ulp: within
+    (6 pi + 2 sqrt 2) u of w^l.  The product with the rep adds sqrt(2)
+    gamma_2 (Higham, Lemma 3.5), 24.5 u |rep| in all, and gamma_25 nu
+    covers that and nu's own rounding.
+    """
+    if m < 2:
+        raise ValueError("uniformity must be at least 2")
+    covered = n0 + m * sum(mult for _, _, mult in reps)
+    if k is not None and covered != k:
+        raise ValueError(f"representatives cover {covered} eigenvalues, expected {k}")
+    rotations = [-1 if 2 * l == m else cmath.exp(2j * cmath.pi * l / m) for l in range(m)]
+    entries = [(complex(alpha, beta) * w, mult) for alpha, beta, mult in reps for w in rotations]
+    if n0:
+        entries.append((0j, n0))
+    entries.sort(key=lambda it: (-abs(it[0]), cmath.phase(it[0])))
+    nu = max((abs(complex(alpha, beta)) for alpha, beta, _ in reps), default=0.0)
+    return Spectrum(covered, tuple(entries), "closed-form",
+                    _up(residual + _up(nu * _gamma(25 if m > 2 else 0))))
+
+
+def hyperstar_spectrum(m: int, q: int) -> Spectrum:
+    """Closed-form spectrum of the hyperstar with q edges: the rotation
+    orbits of r^(1/m) with multiplicity c_r (hyperstar_multiplicities)
+    for r = 1..q, and the rest of k as zeros.  Its residual is proven:
+    r ** (1/m) is a pow within one ulp at an exponent within u of 1/m, so
+    within (2 + ln(r)/m) u of r^(1/m) and a little more; gamma_{4 + bit
+    length of q} times the largest rep covers that, plus the rotations'.
+    """
     c = hyperstar_multiplicities(m, q)
     n = q * (m - 1) + 1
     k = n * (m - 1) ** (n - 1)
     reps = [(r ** (1.0 / m), 0.0, c[r]) for r in range(1, q + 1) if c[r]]
-    return k, k - m * sum(c[1:]), reps
-
-
-def hyperstar_spectrum(m: int, q: int) -> Spectrum:
-    """Closed-form spectrum of the hyperstar with q edges."""
-    k, n0, reps = _hyperstar_orbits(m, q)
-    entries: list[Entry] = []
-    for alpha, _, mult in reps:
-        for l in range(m):
-            z = alpha * cmath.exp(2j * cmath.pi * l / m)
-            if abs(z.imag) < 1e-15:
-                z = complex(z.real, 0.0)
-            entries.append((z, mult))
-    if n0:
-        entries.append((0j, n0))
-    entries.sort(key=lambda it: (-abs(it[0]), cmath.phase(it[0])))
-    return Spectrum(k=k, entries=tuple(entries), provenance="closed-form")
+    return _orbit_spectrum(reps, k - m * sum(c[1:]), m, k,
+                           _up(reps[-1][0] * _gamma(4 + q.bit_length())))
 
 
 def spectrum(h: UniformHypergraph, budget: Budget | None = None) -> Spectrum:

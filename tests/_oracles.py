@@ -9,7 +9,8 @@ closed forms, the m-symmetry labelling through a search of every
 labelling, determinants through elimination over the rationals, the
 split sums of pick totals through the whole Laplacian of every split,
 the pick totals themselves through a search of every vector,
-connected components through union-find over the edges,
+connected components through union-find over the edges, a graph's odd
+closed walks through a breadth-first 2-colouring,
 and isomorphism of weighted supports through every bijection of their
 edges, so a bug in the trace engine, its class keys, the root pipeline,
 the orbit formula, the star test or the labelling solver cannot hide in
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,6 +53,31 @@ def union_find_components(h: UniformHypergraph) -> list[tuple[int, ...]]:
     for v in range(1, h.n + 1):
         groups.setdefault(find(v), []).append(v)
     return [tuple(sorted(g)) for g in sorted(groups.values())]
+
+
+def is_bipartite(h: UniformHypergraph) -> bool:
+    """Whether a graph's vertices 2-colour so that every edge joins both
+    colours, by breadth-first search from each uncoloured vertex; a graph
+    has an odd closed walk exactly when they do not."""
+    assert h.m == 2
+    neighbours: list[list[int]] = [[] for _ in range(h.n + 1)]
+    for u, v in h.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    colour: list[int | None] = [None] * (h.n + 1)
+    for root in range(1, h.n + 1):
+        if colour[root] is not None:
+            continue
+        colour[root], queue = 0, deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in neighbours[u]:
+                if colour[v] is None:
+                    colour[v] = 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    return False
+    return True
 
 
 def adjacency_matrix(h: UniformHypergraph) -> np.ndarray:

@@ -186,7 +186,8 @@ def test_csv_rows_carry_the_json_values(capsys, argv):
      ("bounds", "--empty", "3", "2000"),
      # k = 1.78e308 fits in a float, but the answer does not
      ("ee", "--path", "3", "507"), ("bounds", "--path", "3", "507"),
-     ("bounds", "--star", "3", "507"), ("ee", "--star", "3", "507")],
+     ("bounds", "--star", "3", "507"), ("ee", "--star", "3", "507"),
+     ("ee", "--star", "3", "507", "--method", "spectrum")],
 )
 def test_count_beyond_float_range_exits_infeasible(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

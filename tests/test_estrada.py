@@ -17,8 +17,8 @@ from _oracles import (
     adjacency_matrix,
     hyperstar_ee_m3,
     hyperstar_ee_m4,
+    is_bipartite,
     matrix_estrada,
-    matrix_power_sums,
     orbit_sum_m3,
     orbit_sum_m4,
     series_tail,
@@ -58,11 +58,15 @@ def test_single_edge_value():
     assert 0.0 < res.error_bound <= 1e-13 * res.value
 
 
-@pytest.mark.parametrize("m, q", [(3, 4), (3, 30), (4, 12), (3, 200)])
+@pytest.mark.parametrize("m, q", [(3, 4), (3, 30), (4, 12), (3, 200), (3, 506)])
 def test_hyperstar_bound_covers_its_rounding(m, q):
     """Against a 50-digit sum over the star's closed-form orbits, the
-    answer is a few ulps off, and error_bound covers that."""
-    res = ee_hyperstar(m, q)
+    closed form and each route's answer are a few ulps off, and each
+    error_bound covers that.  At (3, 506) the closed form's bound was
+    infinite: its weight m e^nu per eigenvalue overflowed."""
+    h = gen_hyperstar(m, q)
+    answers = [ee_hyperstar(m, q)] + [estrada_index(h, method)
+                                      for method in ("star", "spectrum", "symmetric")]
     c = hyperstar_multiplicities(m, q)
     n = q * (m - 1) + 1
     k = n * (m - 1) ** (n - 1)
@@ -71,8 +75,9 @@ def test_hyperstar_bound_covers_its_rounding(m, q):
         want = (k - m * sum(c[1:])) + mpmath.fsum(
             c[r] * mpmath.re(mpmath.exp(mpmath.root(r, m) * w))
             for r in range(1, q + 1) for w in roots)
-        assert abs(mpmath.mpf(res.value) - want) <= res.error_bound
-    assert res.error_bound <= 1e-12 * res.value
+        for res in answers:
+            assert abs(mpmath.mpf(res.value) - want) <= res.error_bound, res.method
+            assert res.error_bound <= 1e-12 * res.value, res.method
 
 
 def test_four_uniform_single_edge_value():
@@ -475,7 +480,7 @@ def test_symmetric_method_via_dispatch():
 def test_symmetric_method_carries_the_spectrum_error():
     """The rotation-orbit route reports the spectrum's residual propagated
     through the exponentials plus the orbit sum's own rounding.  On a
-    closed-form spectrum, whose residual is 0, only that rounding is left."""
+    hyperstar's closed-form spectrum the residual is its entries' rounding."""
     h = CORPUS["tight-pair-3"]
     s = spectrum(h)
     n0, reps = symmetric_representatives(s, h.m)
@@ -516,7 +521,7 @@ def _check_graph(h):
             got = sorted(z.real for z, mult in s.entries for _ in range(mult))
             assert all(abs(x - y) <= s.residual for x, y in zip(got, ref))
         answers = [estrada_index(h)]
-        if not any(matrix_power_sums(h, h.n)[1::2]):  # no odd closed walk
+        if is_bipartite(h):  # no odd closed walk
             answers.append(estrada_index(h, "symmetric"))
         for res in answers:
             assert abs(mpmath.mpf(res.value) - want) <= res.error_bound, res.method
