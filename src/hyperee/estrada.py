@@ -278,11 +278,11 @@ class BoundsReport:
 
     lower_basic/upper_basic come from the order-m trace and the spectral
     radius (k + Tr_m/m! <= EE <= k*e^rho).  The moment bounds use
-    r = sum |lambda|^2 = 2*sum(Re lambda)^2 - Tr_2 and need an explicit
-    spectrum, so they are None without one; the radius bounds replace
-    sqrt(r) by its radius-only majorant rho*sqrt(2k) and are always
-    available.  All bounds are evaluated at the upper end of rho_used,
-    which keeps them valid for any enclosure of the true radius.
+    r = sum |lambda|^2: Tr_2 = 2|E| for a graph, and for m >= 3, where
+    Tr_2 = 0, 2*sum(Re lambda)^2 from an explicit spectrum, None without
+    one.  The radius bounds replace sqrt(r) by its radius-only majorant
+    rho*sqrt(2k) and are always available.  All bounds are evaluated at
+    the upper end of rho_used, valid for any enclosure of the true radius.
     """
 
     k: int
@@ -300,11 +300,10 @@ def bounds_refined(s: Spectrum | None, h: UniformHypergraph,
                    rho: SpectralRadiusEstimate | None = None) -> BoundsReport:
     """Evaluate the full family of EE bounds for h.
 
-    The moment-based upper bounds require the spectrum s (pass None to
-    skip them); the basic and radius-based bounds never do.  Tr_2 enters
-    the moment bounds exactly from its closed form: 2|E| for graphs, 0
-    for m >= 3, where orders 1..m-1 vanish.  An adjusted bound whose
-    unadjusted bound is inf is inf too.
+    For m >= 3 the moment-based upper bounds require the spectrum s (pass
+    None to skip them); a graph's read r = Tr_2 = 2|E| whether or not s
+    is passed, and the basic and radius-based bounds never need it.  An
+    adjusted bound whose unadjusted bound is inf is inf too.
     """
     k = _checked_count(h.eigenvalue_count())
     m = h.m
@@ -330,10 +329,9 @@ def bounds_refined(s: Spectrum | None, h: UniformHypergraph,
     upper_radius, upper_radius_adjusted = pair(
         _up(rho.upper * root_2k), _down(_down(math.sqrt(2.0)) * rho.upper), 1)
     upper_moment = upper_moment_adjusted = r_val = None
-    if s is not None:
-        alpha_sq = sum(mult * z.real**2 for z, mult in s.entries)
-        tr2 = float(tr_m) if m == 2 else 0.0
-        r_val = max(2.0 * alpha_sq - tr2, 0.0)
+    if m == 2 or s is not None:
+        # sum |lambda|^2 = 2 sum (Re lambda)^2 - Tr_2: Tr_2 on real spectra, and Tr_2 = 0 for m >= 3
+        r_val = float(tr_m) if m == 2 else 2.0 * sum(mult * z.real**2 for z, mult in s.entries)
         upper_moment, upper_moment_adjusted = pair(_up(math.sqrt(r_val)), r_val, 0.5)
     return BoundsReport(k=k, lower_basic=lower_basic, upper_basic=upper_basic,
                         upper_moment=upper_moment, upper_moment_adjusted=upper_moment_adjusted,
@@ -346,11 +344,11 @@ def estrada_index(h: UniformHypergraph, method: str = "auto", *, tol: float = 1e
     """Front door: compute EE by the requested or cheapest valid method.
 
     "auto" picks its route from the input: the closed form for a
-    hyperstar; for a graph or an edgeless input the spectrum sum, a graph's
-    by eigh, or the certified trace series past spectrum()'s caps; the
-    series for every other input.  Explicit methods: "star", "spectrum",
-    "series", "symmetric" (spectrum + rotation-orbit formula).  An
-    eigenvalue count beyond float range is refused with FeasibilityError.
+    hyperstar; the spectrum sum for a graph (by eigh) or an edgeless
+    input; the certified trace series for every other input.  Explicit
+    methods: "star", "spectrum", "series", "symmetric" (spectrum +
+    rotation-orbit formula).  A graph whose eigensolver work n^3 exceeds
+    budget.max_selections, or a k beyond float range, is a FeasibilityError.
 
     threads is accepted and ignored: every computation runs in the
     calling process.  It goes once the benchmark harness, which passes
@@ -364,12 +362,7 @@ def estrada_index(h: UniformHypergraph, method: str = "auto", *, tol: float = 1e
             return ee_hyperstar(h.m, star_q)
         if method == "star":
             raise ValueError("input is not a hyperstar")
-        if h.m == 2 or not h.edges:
-            try:
-                return ee_from_spectrum(spectrum(h, budget=budget))
-            except FeasibilityError:
-                pass  # the series needs far fewer trace orders than k
-        method = "series"
+        method = "spectrum" if h.m == 2 or not h.edges else "series"
     if method == "spectrum":
         return ee_from_spectrum(spectrum(h, budget=budget))
     if method == "series":

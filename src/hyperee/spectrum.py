@@ -2,9 +2,9 @@
 
 The full spectrum of an m-uniform hypergraph on n vertices has
 k = n*(m-1)^(n-1) eigenvalues (with multiplicity).  A graph's come from
-a symmetric eigensolver.  For m >= 3 and small k they are recovered
-exactly-in-structure from the power traces: Newton's identities turn the
-trace sequence into the monic characteristic polynomial over the
+a symmetric eigensolver at any n.  For m >= 3 and small k they are
+recovered exactly-in-structure from the power traces: Newton's identities
+turn the trace sequence into the monic characteristic polynomial over the
 rationals, and the root pipeline then factors out zero eigenvalues
 exactly, splits the rest into square-free factors (so every numeric root
 is simple), and finds those roots to near machine precision.
@@ -16,6 +16,7 @@ orbit by orbit with the float rounding of each entry as a proven residual.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -268,13 +269,12 @@ def hyperstar_spectrum(m: int, q: int) -> Spectrum:
 def spectrum(h: UniformHypergraph, budget: Budget | None = None) -> Spectrum:
     """Full eigenvalue multiset of h's adjacency tensor.
 
-    Hyperstars (and edgeless hypergraphs) are answered in closed form.
-    Every other spectrum needs k = n*(m-1)^(n-1) within budget.max_degree:
-    a graph's comes from _graph_spectrum, its n^3 work charged to the
-    selection budget, and for m >= 3 from exact traces + Newton's
-    identities.  Past the budget, or when the roots do not converge in
-    double precision, a FeasibilityError points at the trace-series route
-    instead.
+    Hyperstars (and edgeless hypergraphs) are answered in closed form.  A
+    graph's comes from _graph_spectrum at any n whose eigensolver work n^3
+    fits budget.max_selections; for m >= 3 from exact traces + Newton's
+    identities, within k = n*(m-1)^(n-1) <= budget.max_degree.  Past either
+    budget, or when the roots do not converge in double precision, a
+    FeasibilityError is raised; for m >= 3 it points at the trace series.
     """
     budget = budget or Budget()
     k = h.eigenvalue_count()
@@ -283,15 +283,15 @@ def spectrum(h: UniformHypergraph, budget: Budget | None = None) -> Spectrum:
     star_q = detect_hyperstar(h)
     if star_q is not None:
         return hyperstar_spectrum(h.m, star_q)
+    if h.m == 2:
+        if h.n**3 > budget.max_selections:
+            raise FeasibilityError(f"eigensolver work n^3 = {h.n**3} exceeds the selection "
+                                   f"budget ({budget.max_selections})")
+        return _graph_spectrum(h)
     if k > budget.max_degree:
         raise FeasibilityError(
             f"eigenvalue count, a {k.bit_length()}-bit integer, exceeds the characteristic-"
-            f"polynomial budget ({budget.max_degree}); use the trace-series method"
-        )
-    if h.m == 2:
-        if h.n**3 > budget.max_selections:
-            raise FeasibilityError(f"eigensolver work n^3 exceeds {budget.max_selections}")
-        return _graph_spectrum(h)
+            f"polynomial budget ({budget.max_degree}); use the trace-series method")
     ts = trace_sequence(h, k, budget=budget)
     cp = charpoly_from_traces(ts)
     try:
@@ -343,34 +343,31 @@ def symmetric_representatives(s: Spectrum, m: int) -> tuple[int, list[Rep]]:
     """
     if m < 2:
         raise ValueError("rotation order must be at least 2")
-    remaining: list[list] = [
-        [z, mult] for z, mult in s.entries if z != 0
-    ]
-    n0 = s.k - sum(mult for _, mult in remaining)
+    items = [[z, mult] for z, mult in s.entries if z != 0]
+    n0 = s.k - sum(mult for _, mult in items)
     omega = cmath.exp(2j * cmath.pi / m)
+    # partners of z0 lie within tol of |z0| in modulus, up to rounding far below tol
+    order = sorted(range(len(items)), key=lambda j: abs(items[j][0]))
+    moduli = [abs(items[j][0]) for j in order]
     reps: list[Rep] = []
-    while remaining:
-        z0 = remaining[0][0]
-        matches: list[list] = []
-        target = z0
-        for _ in range(m):
-            hit = None
-            for item in remaining:
-                if any(item is mch for mch in matches):
-                    continue
-                if abs(item[0] - target) <= ROTATION_TOL * (1.0 + abs(z0)):
-                    hit = item
-                    break
-            if hit is None:
-                raise ValueError(
-                    f"spectrum is not {m}-fold rotation symmetric: no "
-                    f"partner for {target:.6g}"
-                )
-            matches.append(hit)
-            target = target * omega
-        count = min(item[1] for item in matches)
-        reps.append((z0.real, z0.imag, count))
-        for item in matches:
-            item[1] -= count
-        remaining = [item for item in remaining if item[1] > 0]
+    for first in items:
+        while first[1] > 0:  # the first entry left starts the next orbit
+            z0 = first[0]
+            tol = ROTATION_TOL * (1.0 + abs(z0))
+            window = order[bisect.bisect_left(moduli, abs(z0) - 2.0 * tol):
+                           bisect.bisect_right(moduli, abs(z0) + 2.0 * tol)]
+            matches: list[int] = []
+            target = z0
+            for _ in range(m):
+                hit = min((j for j in window if items[j][1] > 0 and j not in matches
+                           and abs(items[j][0] - target) <= tol), default=None)
+                if hit is None:
+                    raise ValueError(f"spectrum is not {m}-fold rotation symmetric: "
+                                     f"no partner for {target:.6g}")
+                matches.append(hit)
+                target = target * omega
+            count = min(items[j][1] for j in matches)
+            reps.append((z0.real, z0.imag, count))
+            for j in matches:
+                items[j][1] -= count
     return n0, reps

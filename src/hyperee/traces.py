@@ -61,7 +61,7 @@ class FeasibilityError(RuntimeError):
 class Budget:
     """Resource limits for exact computations."""
 
-    max_degree: int = 128  # every numeric spectrum's eigenvalue cap; the series' order cap
+    max_degree: int = 128  # an m >= 3 spectrum's eigenvalue cap; the series' order cap
     # predicted edge-pick configurations per trace order; for graphs, the
     # matrix-power work n^3 per bit of the order, and n^3 for the eigensolver
     max_selections: int = 10**9
@@ -450,8 +450,12 @@ def _sigma_range(
             if done:
                 i -= 1
                 continue
-            final = finalize_at[i]  # the first is a multiple of m by the choice of s
-            if len(final) > 1 and not all(vertex_total[v] % m == 0 for v in final):
+            divisible = True
+            for v in finalize_at[i][1:]:  # the first is a multiple of m by the choice of s
+                if vertex_total[v] % m:
+                    divisible = False
+                    break
+            if not divisible:
                 continue
             # each further pick takes at most m off owed, and the search
             # ends on vertex totals that are multiples of m
@@ -460,8 +464,13 @@ def _sigma_range(
             joined = _join(parts[i], masks[i], reach[i]) if s else parts[i]
             if i < last:
                 # a component no later edge touches cannot join the others
-                if len(joined) < 2 or all(r > i for _, r in joined):
+                if len(joined) < 2:
                     break  # enter edge i + 1
+                for _, r in joined:
+                    if r <= i:
+                        break
+                else:
+                    break  # each component reaches a later edge: enter edge i + 1
                 continue
             if len(joined) == 1:
                 d, support = total + s, (*held[i], (i, s)) if s else held[i]

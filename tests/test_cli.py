@@ -387,6 +387,20 @@ def test_bounds_star_past_the_degree_cap_has_moment_bounds(capsys, q):
         assert payload[key] == pytest.approx(getattr(want, key), rel=1e-9), key
 
 
+def test_bounds_on_a_graph_ask_for_no_spectrum(capsys, monkeypatch):
+    """A graph's moment bounds read r = Tr_2 = 2|E|, so bounds on the path
+    P_41 report them without forming a spectrum."""
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("the spectrum was formed")
+
+    monkeypatch.setattr("hyperee.cli.spectrum", no_spectrum)
+    code, out, _ = run_cli(capsys, "bounds", "--path", "2", "40", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["modulus_sq_sum"] == 80
+    assert payload["upper_moment"] is not None and payload["upper_moment_adjusted"] is not None
+
+
 def test_bounds_refuses_a_count_past_float_range_before_the_spectrum(capsys, monkeypatch):
     """k = 1201 * 2^1200 has no float: bounds refuses it before the
     hyperstar's O(q^2)-bit multiplicities are formed."""

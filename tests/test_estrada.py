@@ -493,13 +493,15 @@ def test_symmetric_method_carries_the_spectrum_error():
         assert 0.0 < res.error_bound <= 1e-13 * res.value, name
 
 
-def test_spectrum_sum_bound_covers_the_path_graph_on_31_vertices():
-    """The path graph P_31 has eigenvalues 2cos(pi j/32), j = 1..31; the
-    trace-Newton-Aberth route was 4.2e-8 off against a bound of 9.5e-31."""
-    res = estrada_index(gen_hyperpath(2, 30), "spectrum")
+@pytest.mark.parametrize("n", [31, 300, 600])
+def test_spectrum_sum_bound_covers_the_path_graph(n):
+    """The path graph P_n has eigenvalues 2cos(pi j/(n+1)), j = 1..n; on
+    P_31 the trace-Newton-Aberth route was 4.2e-8 off against a bound of
+    9.5e-31.  P_300 and P_600 lie past the old eigenvalue cap of 128."""
+    res = estrada_index(gen_hyperpath(2, n - 1), "spectrum")
     with mpmath.workdps(50):
         want = mpmath.fsum(
-            mpmath.exp(2 * mpmath.cos(mpmath.pi * j / 32)) for j in range(1, 32)
+            mpmath.exp(2 * mpmath.cos(mpmath.pi * j / (n + 1))) for j in range(1, n + 1)
         )
         assert abs(mpmath.mpf(res.value) - want) <= res.error_bound
 
@@ -528,8 +530,8 @@ def _check_graph(h):
 
 
 def test_graphs_never_reach_the_trace_engine_or_aberth(monkeypatch):
-    """Within the eigenvalue cap a graph's spectrum, and auto's and the
-    rotation-orbit answers, come from one symmetric eigensolver."""
+    """A graph's spectrum, and auto's and the rotation-orbit answers, come
+    from one symmetric eigensolver."""
 
     def banned(*args, **kwargs):
         raise AssertionError("a graph reached the trace-Newton-Aberth pipeline")
@@ -574,16 +576,57 @@ def test_graph_bounds_take_the_rounding_entry_by_entry(h, bound):
     _check_graph(h)
 
 
-@pytest.mark.parametrize("p", [60, 127])
+@pytest.mark.parametrize("p", [60, 127, 299, 599])
 def test_long_path_graphs_take_the_eigensolver(p):
-    """P_61 stalled Aberth (a refusal); P_128 fell back to the series."""
+    """P_61 stalled Aberth (a refusal); P_128, past the old eigenvalue cap
+    of 128, fell back to the series, and so did P_300 and P_600, which
+    took 3-24 s and left P_600 unconverged."""
     res = estrada_index(gen_hyperpath(2, p))
-    assert res.method == "spectrum-sum"
+    assert res.method == "spectrum-sum" and res.converged
     assert res.error_bound <= 1e-6
     with mpmath.workdps(50):
         want = mpmath.fsum(mpmath.exp(2 * mpmath.cos(mpmath.pi * j / (p + 2)))
                            for j in range(1, p + 2))
         assert abs(mpmath.mpf(res.value) - want) <= res.error_bound
+
+
+def test_cycle_graph_past_the_old_cap_takes_the_eigensolver():
+    """C_401 has eigenvalues 2cos(2 pi j/401), j = 0..400, and auto answers
+    it by the spectrum sum within its bound of the 50-digit sum."""
+    n = 401
+    res = estrada_index(from_edge_list(2, n, [(j, j % n + 1) for j in range(1, n + 1)]))
+    assert res.method == "spectrum-sum" and res.converged
+    with mpmath.workdps(50):
+        want = mpmath.fsum(mpmath.exp(2 * mpmath.cos(2 * mpmath.pi * j / n)) for j in range(n))
+        assert abs(mpmath.mpf(res.value) - want) <= res.error_bound
+
+
+@pytest.mark.parametrize("n, q", [(130, 260), (300, 1000)])
+def test_random_graph_past_the_old_cap_takes_the_eigensolver(n, q):
+    """Past the old eigenvalue cap of 128, auto answers a random graph by
+    the spectrum sum, converged, where it used to run the series (3.4 s on
+    G(300, 1000)).  On G(130, 260), where the series takes a third of a
+    second, the value lies within the sum of both bounds of the series."""
+    h = _random_instance(2, n, q, 1)
+    res = estrada_index(h)
+    assert res.method == "spectrum-sum" and res.converged
+    if n <= 130:
+        series = estrada_index(h, "series")
+        assert series.converged
+        assert abs(res.value - series.value) <= res.error_bound + series.error_bound
+
+
+def test_graph_moment_bounds_read_twice_the_edge_count():
+    """For a graph r = sum lambda^2 = Tr_2 = 2|E| exactly, so its moment
+    bounds need no spectrum: bounds_refined gives the same report with
+    one or without."""
+    graphs = [h for h in CORPUS.values() if h.m == 2] + [_random_instance(2, 300, 1000, 1)]
+    for h in graphs:
+        rho = spectral_radius(h)
+        without = bounds_refined(None, h, rho)
+        assert bounds_refined(spectrum(h), h, rho) == without
+        assert without.modulus_sq_sum == 2 * len(h.edges)
+        assert without.upper_moment is not None and without.upper_moment_adjusted is not None
 
 
 def test_bounds_round_outward():
@@ -648,13 +691,15 @@ def test_auto_agrees_with_the_spectrum_on_four_vertices(q):
         assert abs(auto.value - newton.value) <= auto.error_bound + newton.error_bound
 
 
-def test_auto_falls_back_when_spectrum_budget_trips():
-    """A graph whose k fits the degree budget, but whose trace orders do
-    not: auto must degrade to the series rather than fail."""
+def test_auto_refuses_a_graph_past_the_eigensolver_budget():
+    """A graph whose eigensolver work n^3 exceeds the selection budget is
+    refused.  The series it used to fall back to was charged 2n^3 at order
+    2 as well, so it stopped after orders 0 and 1 and returned EE = n,
+    unconverged: nothing a clean refusal does not say better."""
     h = CORPUS["rand-2-b"]
-    res = estrada_index(h, budget=Budget(max_degree=128, max_selections=100))
-    assert res.method == "trace-series"
-    assert not res.converged
+    assert h.n**3 > 100
+    with pytest.raises(FeasibilityError, match="selection budget"):
+        estrada_index(h, budget=Budget(max_degree=128, max_selections=100))
 
 
 def test_root_failure_is_a_refusal_and_auto_falls_back(monkeypatch):
